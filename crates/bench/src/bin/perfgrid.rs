@@ -1,7 +1,8 @@
 //! Records the kernel performance trajectory to `BENCH_pgm.json` (factor
 //! algebra), `BENCH_marginal.json` (marginal-counting engine),
 //! `BENCH_sampling.json` (row-generation engine), `BENCH_dataset.json`
-//! (bit-packed columnar storage) and `BENCH_ml.json` (batched MLP kernels).
+//! (bit-packed columnar storage) and `BENCH_ml.json` (batched MLP kernels
+//! and the jeong2021 random-forest fit).
 //!
 //! Times a small fixed grid of calibration problems through both factor
 //! algebras — the stride kernels that power production and the retained
@@ -518,15 +519,95 @@ fn dataset_section(quick: bool, out_path: &str) -> (f64, f64) {
     (marginal_sweep_speedup, min_ratio)
 }
 
+/// The jeong2021 forest fit: the training split of the quick-scale
+/// generator dataset, as the paper's pipeline featurizes and splits it
+/// (`synrd::papers::jeong2021::pipeline_split`), fitted with the
+/// pipeline's options (20 trees, depth 8, min split 10, √d features) and
+/// RNG stream through the rank/histogram forest and the retained
+/// sort-based oracle. Bit-identity of the predictions on the test
+/// split and of the RNG end state is asserted before timing. Returns the
+/// record row and the speedup over the oracle.
+fn forest_leg(quick: bool) -> (JsonValue, f64) {
+    use rand::Rng;
+    use synrd::papers::jeong2021::{pipeline_split, FOREST_OPTIONS};
+    use synrd_data::BenchmarkDataset;
+    use synrd_ml::RandomForest;
+
+    let dataset = BenchmarkDataset::Jeong2021;
+    let config = synrd::benchmark::BenchmarkConfig::quick();
+    let ds = dataset.generate(config.rows_for(dataset.paper_n()), config.data_seed);
+    let split = pipeline_split(&ds).expect("jeong2021 pipeline split");
+    let (xtr, ytr, xte) = (&split.x_train, &split.y_train, &split.x_test);
+    let options = FOREST_OPTIONS;
+    let fit_rng = || split.rng.clone();
+    let (mut a, mut b) = (fit_rng(), fit_rng());
+    let binned = RandomForest::fit(xtr, ytr, options, &mut a).expect("forest fit");
+    let naive = RandomForest::fit_naive(xtr, ytr, options, &mut b).expect("forest fit");
+    let bits = |f: &RandomForest| -> Vec<u64> {
+        f.predict_proba(xte).iter().map(|p| p.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&binned),
+        bits(&naive),
+        "forest: binned predictions != sort-based oracle"
+    );
+    assert_eq!(
+        a.gen::<u64>(),
+        b.gen::<u64>(),
+        "forest: binned fit consumed a different RNG stream"
+    );
+
+    let reps = if quick { 7 } else { 31 };
+    let binned_ns = median_ns(reps, || {
+        let mut rng = fit_rng();
+        black_box(RandomForest::fit(xtr, ytr, options, &mut rng).expect("forest fit"));
+    });
+    let naive_ns = median_ns(reps, || {
+        let mut rng = fit_rng();
+        black_box(RandomForest::fit_naive(xtr, ytr, options, &mut rng).expect("forest fit"));
+    });
+    let speedup = naive_ns / binned_ns;
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "ml         {:<14} binned {:>9.0} ns   naive {:>10.0} ns   speedup {:>5.2}x   \
+         ({} x {}, 20 trees, nproc {nproc})",
+        "jeong2021-rf",
+        binned_ns,
+        naive_ns,
+        speedup,
+        xtr.len(),
+        xtr[0].len()
+    );
+    let record = JsonValue::obj(vec![
+        ("name", JsonValue::Str("jeong2021-rf".to_string())),
+        ("rows", JsonValue::Uint(xtr.len() as u64)),
+        ("features", JsonValue::Uint(xtr[0].len() as u64)),
+        ("n_trees", JsonValue::Uint(options.n_trees as u64)),
+        ("max_depth", JsonValue::Uint(options.tree.max_depth as u64)),
+        (
+            "min_samples_split",
+            JsonValue::Uint(options.tree.min_samples_split as u64),
+        ),
+        ("binned_ns", JsonValue::Num(binned_ns)),
+        ("naive_ns", JsonValue::Num(naive_ns)),
+        ("speedup", JsonValue::Num(speedup)),
+        ("bit_identical", JsonValue::Bool(true)),
+        ("nproc", JsonValue::Uint(nproc as u64)),
+    ]);
+    (record, speedup)
+}
+
 /// The ML-kernel fifth of the perf record: one PATECTGAN-shaped training
 /// round (batched forward + one minibatch Adam step at batch 48) through
 /// the batched `BatchWorkspace` kernels vs the retained per-example oracle,
 /// plus `SimdBackend` vs `CpuBackend` on the same rounds, with bit-identity
 /// of the fitted states asserted on every shape and every registered
-/// backend before timing. Writes `BENCH_ml.json`; returns (minimum gated
-/// round speedup over the oracle, minimum gated SimdBackend-over-CpuBackend
-/// speedup — `+inf` when SIMD is unsupported on this CPU).
-fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
+/// backend before timing; then the jeong2021 forest fit ([`forest_leg`]).
+/// Writes `BENCH_ml.json`; returns (minimum gated round speedup over the
+/// oracle, minimum gated SimdBackend-over-CpuBackend speedup — `+inf` when
+/// SIMD is unsupported on this CPU — and the forest speedup over its
+/// oracle).
+fn ml_section(quick: bool, out_path: &str) -> (f64, f64, f64) {
     use synrd_ml::backend::{detected_cpu_features, registered_backends};
     use synrd_ml::{Activation, AnyBackend, BatchWorkspace, Mlp, SimdBackend};
 
@@ -679,21 +760,25 @@ fn ml_section(quick: bool, out_path: &str) -> (f64, f64) {
         summary.push(("simd_over_cpu_min", JsonValue::Num(simd_min)));
         summary.push(("simd_over_cpu_geomean", JsonValue::Num(simd_geomean)));
     }
+    let (forest, forest_speedup) = forest_leg(quick);
+    summary.push(("forest_speedup", JsonValue::Num(forest_speedup)));
     let doc = JsonValue::obj(vec![
-        ("schema", JsonValue::Str("synrd-bench-ml/2".to_string())),
+        ("schema", JsonValue::Str("synrd-bench-ml/3".to_string())),
         (
             "mode",
             JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
         ),
         ("batch", JsonValue::Uint(batch as u64)),
         ("benches", JsonValue::Arr(bench_rows)),
+        ("forest", forest),
         ("summary", JsonValue::obj(summary)),
     ]);
     std::fs::write(out_path, format!("{}\n", doc.to_text())).expect("write BENCH_ml.json");
     println!(
-        "wrote {out_path} (min round speedup {min_speedup:.2}x, min simd-over-cpu {simd_min:.2}x)"
+        "wrote {out_path} (min round speedup {min_speedup:.2}x, min simd-over-cpu {simd_min:.2}x, \
+         forest {forest_speedup:.2}x)"
     );
-    (min_speedup, simd_min)
+    (min_speedup, simd_min, forest_speedup)
 }
 
 /// A descent-dominated calibration problem: overlapping triples where every
@@ -1048,7 +1133,7 @@ fn main() {
     let (dataset_min, compression_min) = dataset_section(quick, &dataset_out);
 
     // --- ML kernels: batched MLP round vs the per-example oracle -----------
-    let (ml_min, ml_simd_min) = ml_section(quick, &ml_out);
+    let (ml_min, ml_simd_min, forest_speedup) = ml_section(quick, &ml_out);
 
     // --- Intra-fit parallelism: descent scaling + core-budget grid ---------
     let (fit_min, grid_ratio) = fit_section(quick, &fit_out);
@@ -1114,6 +1199,16 @@ fn main() {
         eprintln!(
             "warning: SimdBackend under the {ml_simd_gate:.1}x over-CpuBackend gate \
              ({ml_simd_min:.2}x)"
+        );
+        std::process::exit(1);
+    }
+    // The rank/histogram forest must beat the sort-based oracle by 3x at
+    // the jeong2021 fit shape (2x in --quick mode for the usual CI-noise
+    // reason).
+    let forest_gate = if quick { 2.0 } else { 3.0 };
+    if forest_speedup < forest_gate {
+        eprintln!(
+            "warning: jeong2021 forest fit under the {forest_gate:.1}x gate ({forest_speedup:.2}x)"
         );
         std::process::exit(1);
     }

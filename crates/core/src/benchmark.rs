@@ -174,7 +174,7 @@ impl CoreBudget {
 
 /// Process-wide cache of grid thread pools, one per thread count: the grid
 /// drivers run many batches per process (per paper, per shard) and pool
-/// construction is not free, so `execute_cells` reuses one pool per count
+/// construction is not free, so `execute_on_pool` reuses one pool per count
 /// instead of building a fresh pool per invocation.
 fn shared_pool(threads: usize) -> std::sync::Arc<rayon::ThreadPool> {
     use std::collections::HashMap;
@@ -455,25 +455,25 @@ fn ground_truth(paper: &dyn Publication, config: &BenchmarkConfig) -> Result<Pap
     })
 }
 
-/// Execute `f` over `coords`, parallel when `config.threads > 1`, containing
-/// worker panics as a per-paper error so a multi-paper sweep can keep going
-/// (fig3/fig4 print-and-continue). Each cell's seeds come from its own
-/// ChaCha8 keystream, so the schedule cannot influence the numbers;
+/// Execute `f` over `items` on the grid pool, parallel when
+/// `config.threads > 1`, containing worker panics as a per-paper error so a
+/// multi-paper sweep can keep going (fig3/fig4 print-and-continue). Results
+/// come back in item order. Each grid cell's seeds come from its own
+/// ChaCha8 keystream (and each control-row replicate's rows are drawn
+/// before dispatch), so the schedule cannot influence the numbers;
 /// `config.threads <= 1` forces the sequential path (used by tests to
 /// assert bitwise equality with the parallel one).
-fn execute_cells<F>(
-    coords: &[(usize, usize)],
-    config: &BenchmarkConfig,
-    f: F,
-) -> Result<Vec<CellOutcome>>
+fn execute_on_pool<T, R, F>(items: &[T], config: &BenchmarkConfig, f: F) -> Result<Vec<R>>
 where
-    F: Fn(&(usize, usize)) -> CellOutcome + Sync,
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
 {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if config.threads > 1 {
-            shared_pool(config.threads).install(|| coords.par_iter().map(&f).collect())
+            shared_pool(config.threads).install(|| items.par_iter().map(&f).collect())
         } else {
-            coords.iter().map(&f).collect()
+            items.iter().map(&f).collect()
         }
     }))
     .map_err(|payload| {
@@ -589,7 +589,7 @@ pub fn run_paper_with_stores(
         }
         out
     };
-    let outcomes = execute_cells(&grid, config, cell)?;
+    let outcomes = execute_on_pool(&grid, config, cell)?;
     let cells = into_rows(outcomes, config);
     Ok(report_from(paper, config, &ground, control, cells))
 }
@@ -694,7 +694,7 @@ pub fn run_grid_sharded_with_stores(
             store.save(paper_id, kind, epsilon, &out);
             out
         };
-        let computed = execute_cells(&todo, config, cell)?;
+        let computed = execute_on_pool(&todo, config, cell)?;
         summary.cells_computed += computed.len();
     }
     Ok(summary)
@@ -887,7 +887,16 @@ fn run_cell(
     }
 }
 
-/// The "real, bootstrap" control row.
+/// The "real, bootstrap" control row: the share of `max(B × seeds, 10)`
+/// nonparametric bootstrap resamples of the real data on which each finding
+/// reproduces.
+///
+/// Replicate rows are drawn sequentially from the `bootstrap-control`
+/// keystream, consuming it exactly as back-to-back `bootstrap_sample` calls
+/// would; each worker then materializes and evaluates its resamples on the
+/// grid pool (so at most `config.threads` resamples are alive), and the
+/// holds are summed in replicate order. The row is therefore bit-identical
+/// at any thread count.
 fn control_row(
     _paper: &dyn Publication,
     ground: &PaperGround,
@@ -901,16 +910,25 @@ fn control_row(
     } = ground;
     let replicates = (config.bootstraps * config.seeds.max(1)).max(10);
     let mut rng = synrd_dp::rng_for(config.data_seed, "bootstrap-control");
-    let mut holds = vec![0.0f64; findings.len()];
-    for _ in 0..replicates {
-        let resample = real.bootstrap_sample(real.n_rows(), &mut rng);
-        for (fi, finding) in findings.iter().enumerate() {
-            let reproduced = match finding.evaluate(&resample) {
-                Ok(stats) => finding.reproduced(&real_stats[fi], &stats),
+    let reproduced = |rows: &Vec<usize>| -> Vec<bool> {
+        let resample = real.take_rows(rows);
+        findings
+            .iter()
+            .zip(real_stats)
+            .map(|(finding, real)| match finding.evaluate(&resample) {
+                Ok(stats) => finding.reproduced(real, &stats),
                 Err(_) => false,
-            };
+            })
+            .collect()
+    };
+    let draws: Vec<Vec<usize>> = (0..replicates)
+        .map(|_| real.bootstrap_rows(real.n_rows(), &mut rng))
+        .collect();
+    let mut holds = vec![0.0f64; findings.len()];
+    for outcome in execute_on_pool(&draws, config, reproduced)? {
+        for (h, reproduced) in holds.iter_mut().zip(outcome) {
             if reproduced {
-                holds[fi] += 1.0;
+                *h += 1.0;
             }
         }
     }
@@ -953,10 +971,12 @@ mod tests {
         assert!((cell.mean_parity() - 0.75).abs() < 1e-12);
     }
 
-    /// A stand-in paper whose finding evaluates fine on real data (ground
-    /// truth + control) but panics inside the grid, to exercise the
+    /// A stand-in paper whose finding evaluates fine for its first `calls`
+    /// evaluations and panics after that, to exercise the
     /// panic-containment contract of `run_paper`.
-    struct PanickyPaper;
+    struct PanickyPaper {
+        calls: usize,
+    }
 
     impl crate::publication::Publication for PanickyPaper {
         fn dataset(&self) -> synrd_data::BenchmarkDataset {
@@ -981,11 +1001,7 @@ mod tests {
 
         fn findings(&self) -> Vec<crate::finding::Finding> {
             use std::sync::atomic::{AtomicUsize, Ordering};
-            // run_paper evaluates on real data once for ground truth and
-            // `max(bootstraps × seeds, 10)` times for the control row, all
-            // before the grid; with seeds = bootstraps = 1 that is 11 calls.
-            // Call 12 is the first grid cell.
-            const PRE_GRID_CALLS: usize = 11;
+            let allowed = self.calls;
             let calls = AtomicUsize::new(0);
             vec![crate::finding::Finding::new(
                 1,
@@ -993,8 +1009,8 @@ mod tests {
                 FindingType::DescriptiveStatistics,
                 crate::finding::Check::Tolerance { alpha: 0.5 },
                 Box::new(move |ds| {
-                    if calls.fetch_add(1, Ordering::Relaxed) >= PRE_GRID_CALLS {
-                        panic!("boom in cell");
+                    if calls.fetch_add(1, Ordering::Relaxed) >= allowed {
+                        panic!("boom");
                     }
                     Ok(vec![ds.mean_of(0).unwrap_or(0.0)])
                 }),
@@ -1004,9 +1020,14 @@ mod tests {
 
     #[test]
     fn grid_panic_is_an_error_not_an_abort() {
-        // A panic in one cell must come back as Err so a multi-paper sweep
-        // (fig3/fig4 print-and-continue) survives — on both grid paths.
-        for threads in [1usize, 4] {
+        // A panic in one cell or one control-row replicate must come back
+        // as Err so a multi-paper sweep (fig3/fig4 print-and-continue)
+        // survives — on both execution paths. run_paper evaluates on real
+        // data once for ground truth and `max(bootstraps × seeds, 10)`
+        // times for the control row, all before the grid; with seeds =
+        // bootstraps = 1 that is 11 calls, and call 12 is the first grid
+        // cell. Allowing 1 call panics in the first control replicate.
+        for (threads, calls) in [(1usize, 11usize), (4, 11), (1, 1), (4, 1)] {
             let config = BenchmarkConfig {
                 epsilons: vec![1.0],
                 seeds: 1,
@@ -1020,11 +1041,11 @@ mod tests {
                 restrict_privmrf: true,
                 synthesizers: vec![SynthKind::Mst],
             };
-            let err =
-                run_paper(&PanickyPaper, &config).expect_err("cell panic must surface as an error");
+            let err = run_paper(&PanickyPaper { calls }, &config)
+                .expect_err("panic must surface as an error");
             assert!(
-                err.to_string().contains("panicked"),
-                "unexpected error ({threads} threads): {err}"
+                err.to_string().contains("panicked: boom"),
+                "unexpected error ({threads} threads, {calls} calls): {err}"
             );
         }
     }

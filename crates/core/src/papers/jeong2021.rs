@@ -108,16 +108,61 @@ fn run_pipeline(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics)> {
     Ok(result)
 }
 
-fn run_pipeline_uncached(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics)> {
+/// Fixed internal seed: the pipeline is part of the finding definition.
+const PIPELINE_SEED: u64 = 0x4a31_2021;
+
+/// The pipeline's random-forest hyperparameters (`max_features = None`
+/// means √d per node).
+pub const FOREST_OPTIONS: ForestOptions = ForestOptions {
+    n_trees: 20,
+    tree: TreeOptions {
+        max_depth: 8,
+        min_samples_split: 10,
+        max_features: None,
+    },
+};
+
+/// The pipeline's train/test split of one dataset, and its RNG in the state
+/// the model fit draws from.
+pub struct PipelineSplit {
+    /// Training features (row-major numeric codes).
+    pub x_train: Vec<Vec<f64>>,
+    /// Training labels (0/1).
+    pub y_train: Vec<f64>,
+    /// Test features.
+    pub x_test: Vec<Vec<f64>>,
+    /// Test labels.
+    pub y_test: Vec<f64>,
+    /// Test group ids (0 = privileged, 1 = disadvantaged).
+    pub groups_test: Vec<u32>,
+    /// The fixed-seed pipeline RNG after the split.
+    pub rng: StdRng,
+}
+
+/// Featurize `ds` and split it 70/30 as every pipeline run does.
+pub fn pipeline_split(ds: &Dataset) -> Result<PipelineSplit> {
     let (x, y, groups) = prepare(ds)?;
-    // Fixed internal seed: the pipeline is part of the finding definition.
-    let mut rng = StdRng::seed_from_u64(0x4a31_2021);
+    let mut rng = StdRng::seed_from_u64(PIPELINE_SEED);
     let (train, test) = train_test_split(x.len(), 0.3, &mut rng)?;
-    let xtr: Vec<Vec<f64>> = train.iter().map(|&i| x[i].clone()).collect();
-    let ytr: Vec<f64> = train.iter().map(|&i| y[i]).collect();
-    let xte: Vec<Vec<f64>> = test.iter().map(|&i| x[i].clone()).collect();
-    let yte: Vec<f64> = test.iter().map(|&i| y[i]).collect();
-    let gte: Vec<u32> = test.iter().map(|&i| groups[i]).collect();
+    Ok(PipelineSplit {
+        x_train: train.iter().map(|&i| x[i].clone()).collect(),
+        y_train: train.iter().map(|&i| y[i]).collect(),
+        x_test: test.iter().map(|&i| x[i].clone()).collect(),
+        y_test: test.iter().map(|&i| y[i]).collect(),
+        groups_test: test.iter().map(|&i| groups[i]).collect(),
+        rng,
+    })
+}
+
+fn run_pipeline_uncached(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics)> {
+    let PipelineSplit {
+        x_train: xtr,
+        y_train: ytr,
+        x_test: xte,
+        y_test: yte,
+        groups_test: gte,
+        mut rng,
+    } = pipeline_split(ds)?;
 
     let scores: Vec<f64> = match model {
         Model::Logistic => {
@@ -140,15 +185,7 @@ fn run_pipeline_uncached(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics
                 .collect()
         }
         Model::Forest => {
-            let options = ForestOptions {
-                n_trees: 20,
-                tree: TreeOptions {
-                    max_depth: 8,
-                    min_samples_split: 10,
-                    max_features: None,
-                },
-            };
-            let forest = RandomForest::fit(&xtr, &ytr, options, &mut rng)?;
+            let forest = RandomForest::fit(&xtr, &ytr, FOREST_OPTIONS, &mut rng)?;
             forest.predict_proba(&xte)
         }
     };

@@ -5,12 +5,23 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use synrd::benchmark::{fits_performed, run_paper_with_stores, BenchmarkConfig, FitStore};
 use synrd::finding::{Check, Finding, FindingType};
 use synrd::Publication;
 use synrd_data::{Attribute, BenchmarkDataset, Dataset, Domain};
 use synrd_synth::{FittedState, SynthKind};
+
+/// Serializes the tests in this file: they assert deltas of the
+/// process-global `fits_performed` counter, which any concurrently running
+/// test in this binary would also bump.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold [`SERIAL`] for the rest of a test (poisoning from a failed test
+/// must not fail the others).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `(dataset digest, synth name, ε bits, seed index)` — a fit's identity.
 type FitKey = (u64, &'static str, u64, usize);
@@ -177,6 +188,7 @@ fn config() -> BenchmarkConfig {
 
 #[test]
 fn papers_sharing_a_dataset_share_every_fit() {
+    let _serial = serial();
     let config = config();
     let store = MemFitStore::default();
     let expected_fits = (config.seeds * config.synthesizers.len() * config.epsilons.len()) as u64;
@@ -214,6 +226,7 @@ fn papers_sharing_a_dataset_share_every_fit() {
 
 #[test]
 fn fit_cache_hits_across_ml_backends() {
+    let _serial = serial();
     // ML backend selection is process-global and deliberately absent from
     // both `FittedState` and the fit-cache key: backends are bit-identical,
     // so a store populated under one backend must serve a run under the
@@ -258,6 +271,7 @@ fn fit_cache_hits_across_ml_backends() {
 
 #[test]
 fn fit_cache_hits_across_fit_thread_counts() {
+    let _serial = serial();
     // The intra-fit thread allowance is throughput-only and deliberately
     // absent from both `FittedState` and the fit-cache key: fits are
     // bit-identical at any thread count, so a store populated by a
@@ -310,6 +324,7 @@ fn fit_cache_hits_across_fit_thread_counts() {
 
 #[test]
 fn unrestorable_states_degrade_to_refits() {
+    let _serial = serial();
     let config = config();
     let store = SabotagedStore(MemFitStore::default());
     let baseline = run_paper_with_stores(&MeanPaper, &config, None, None).unwrap();

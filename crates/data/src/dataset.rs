@@ -310,8 +310,13 @@ impl Dataset {
 
     /// Uniform bootstrap resample of `n` rows (with replacement).
     pub fn bootstrap_sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Dataset {
-        let rows: Vec<usize> = (0..n).map(|_| rng.gen_range(0..self.rows)).collect();
-        self.take_rows(&rows)
+        self.take_rows(&self.bootstrap_rows(n, rng))
+    }
+
+    /// The row indices [`Dataset::bootstrap_sample`] draws: `n` uniform
+    /// draws with replacement, consuming `rng` identically.
+    pub fn bootstrap_rows<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<usize> {
+        (0..n).map(|_| rng.gen_range(0..self.rows)).collect()
     }
 
     /// Subsample `n` distinct rows without replacement (or all rows if

@@ -6,10 +6,22 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use synrd_data::{Attribute, Dataset, Domain};
 use synrd_dp::{derive_seed, Privacy};
 use synrd_pgm::{samplers_built, TreeSampler};
 use synrd_synth::{Aim, Mst, PrivMrf, Synthesizer};
+
+/// Serializes the tests in this file: they assert deltas of the
+/// process-global `samplers_built` counter, which any concurrently running
+/// test in this binary would also bump.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Hold [`SERIAL`] for the rest of a test (poisoning from a failed test
+/// must not fail the others).
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn chain_data(n: usize) -> Dataset {
     let domain = Domain::new(vec![
@@ -38,6 +50,7 @@ fn columns(ds: &Dataset) -> Vec<Vec<u32>> {
 /// rebuild-per-draw loop exactly, bootstrap draw by bootstrap draw.
 #[test]
 fn cached_sampler_is_bit_identical_to_rebuild_per_draw() {
+    let _serial = serial();
     let data = chain_data(3_000);
     let mut synth = Mst::default();
     synth
@@ -57,6 +70,7 @@ fn cached_sampler_is_bit_identical_to_rebuild_per_draw() {
 /// At-most-once construction, for each of the three PGM synthesizers.
 #[test]
 fn repeated_draws_construct_the_sampler_at_most_once() {
+    let _serial = serial();
     let data = chain_data(2_000);
     let synths: Vec<Box<dyn Synthesizer>> = vec![
         Box::new(Aim::default()),
