@@ -20,13 +20,10 @@
 //! stores and assembles reports bit-identical to a monolithic run.
 
 use std::time::Instant;
-use synrd::benchmark::{run_paper_with_stores, PaperReport};
+use synrd::benchmark::PaperReport;
 use synrd::parity::{never_reproduced, paper_summary};
 use synrd::report::render_fig3_block;
-use synrd_bench::{
-    assemble_from_shards, cli_from_args, print_fit_summary, print_store_summary, run_shard_mode,
-    selected_publications, with_cell_store, with_fit_store,
-};
+use synrd_bench::{cli_from_args, run_reports, selected_publications};
 
 fn print_report(report: &PaperReport, started: Instant) {
     print!("{}", render_fig3_block(report));
@@ -62,63 +59,16 @@ fn main() {
         config.seeds, config.bootstraps, config.data_scale, config.threads
     );
 
-    // Shard mode: populate the store with this slice of the cell list and
-    // stop — rendering happens after a merge.
-    if let Some(shard) = cli.store.shard {
-        let (cache, fit_cache) = run_shard_mode(&cli, &papers, shard);
-        print_store_summary(&cache);
-        print_fit_summary(&fit_cache);
-        return;
-    }
-
-    // Merge mode: union shard stores, then assemble every report purely
-    // from cached cells (no fits at all).
-    if !cli.store.merge_shards.is_empty() {
-        let started = Instant::now();
-        let (cache, results) = assemble_from_shards(&cli, &papers);
-        for (name, result) in results {
-            match result {
-                Ok(report) => print_report(&report, started),
-                Err(e) => println!("  {name} failed: {e}\n"),
-            }
+    let mut started = Instant::now();
+    let stores = run_reports(&cli, &papers, |name, result| {
+        match result {
+            Ok(report) => print_report(&report, started),
+            Err(e) => println!("  {name} failed: {e}\n"),
         }
-        print_store_summary(&cache);
-        return;
-    }
-
-    // Monolithic mode, optionally backed by the store. The fit store must
-    // outlive the paper loop: its session view is what lets later papers
-    // reuse fits an earlier paper computed on the same dataset.
-    let cache = cli.store.open_cache(config);
-    let fit_cache = cli.store.open_fit_cache(config);
-    let run = |fits: Option<&dyn synrd::benchmark::FitStore>| {
-        for paper in &papers {
-            let started = Instant::now();
-            let result = match &cache {
-                Some(cache) => with_cell_store(cache, cli.store.resume, |store| {
-                    run_paper_with_stores(paper.as_ref(), config, Some(store), fits)
-                }),
-                None => run_paper_with_stores(paper.as_ref(), config, None, fits),
-            };
-            match result {
-                Ok(report) => {
-                    if let Some(cache) = &cache {
-                        let _ = cache.write_report(&report);
-                    }
-                    print_report(&report, started);
-                }
-                Err(e) => println!("  {} failed: {e}\n", paper.name()),
-            }
-        }
-    };
-    match &fit_cache {
-        Some(fit_cache) => with_fit_store(fit_cache, cli.store.resume, |fits| run(Some(fits))),
-        None => run(None),
-    }
-    if let Some(cache) = &cache {
-        print_store_summary(cache);
-    }
-    if let Some(fit_cache) = &fit_cache {
-        print_fit_summary(fit_cache);
+        started = Instant::now();
+    });
+    // Shard mode (`None`) has already printed its summaries.
+    if let Some(stores) = stores {
+        stores.print_summaries();
     }
 }

@@ -14,13 +14,10 @@
 //! computes one deterministic slice of the cell list, and
 //! `--merge-shards` unions shard stores before aggregating.
 
-use synrd::benchmark::{run_grid_with_stores, PaperReport};
+use synrd::benchmark::PaperReport;
 use synrd::parity::aggregate;
 use synrd::report::render_fig4;
-use synrd_bench::{
-    assemble_from_shards, cli_from_args, print_fit_summary, print_store_summary, run_shard_mode,
-    selected_publications, with_cell_store, with_fit_store,
-};
+use synrd_bench::{cli_from_args, run_reports, selected_publications};
 use synrd_store::JsonCodec;
 
 fn main() {
@@ -32,52 +29,15 @@ fn main() {
         config.seeds, config.bootstraps, config.data_scale
     );
 
-    if let Some(shard) = cli.store.shard {
-        let (cache, fit_cache) = run_shard_mode(&cli, &papers, shard);
-        print_store_summary(&cache);
-        print_fit_summary(&fit_cache);
-        return;
-    }
-
     let mut reports: Vec<PaperReport> = Vec::new();
-    let fit_cache = if cli.store.merge_shards.is_empty() {
-        cli.store.open_fit_cache(config)
-    } else {
-        None // merged reports assemble from cells; no fitting at all
-    };
-    let cache = if cli.store.merge_shards.is_empty() {
-        let cache = cli.store.open_cache(config);
-        let grid = |fits: Option<&dyn synrd::benchmark::FitStore>| match &cache {
-            Some(c) => with_cell_store(c, cli.store.resume, |store| {
-                run_grid_with_stores(&papers, config, Some(store), fits)
-            }),
-            None => run_grid_with_stores(&papers, config, None, fits),
-        };
-        for (name, result) in match &fit_cache {
-            Some(f) => with_fit_store(f, cli.store.resume, |fits| grid(Some(fits))),
-            None => grid(None),
-        } {
-            match result {
-                Ok(report) => {
-                    println!("  finished {}", report.paper_name);
-                    reports.push(report);
-                }
-                Err(e) => println!("  {name} failed: {e}"),
-            }
+    let Some(stores) = run_reports(&cli, &papers, |name, result| match result {
+        Ok(report) => {
+            println!("  finished {}", report.paper_name);
+            reports.push(report);
         }
-        cache
-    } else {
-        let (cache, results) = assemble_from_shards(&cli, &papers);
-        for (name, result) in results {
-            match result {
-                Ok(report) => {
-                    println!("  assembled {} from store", report.paper_name);
-                    reports.push(report);
-                }
-                Err(e) => println!("  {name} failed: {e}"),
-            }
-        }
-        Some(cache)
+        Err(e) => println!("  {name} failed: {e}"),
+    }) else {
+        return; // shard mode: rendering happens after a merge
     };
 
     let agg = match aggregate(&reports) {
@@ -90,7 +50,7 @@ fn main() {
     print!("\n{}", render_fig4(&agg));
 
     // Persist the aggregated series next to the per-paper reports.
-    if let Some(cache) = &cache {
+    if let Some(cache) = &stores.cells {
         let path = cache.root().join("fig4_series.json");
         if let Err(e) = std::fs::write(&path, agg.to_json_text()) {
             eprintln!("could not write {}: {e}", path.display());
@@ -109,10 +69,5 @@ fn main() {
         let min = finite.iter().cloned().fold(f64::INFINITY, f64::min);
         println!("  {:>10}: {:.3}", kind.name(), max - min);
     }
-    if let Some(cache) = &cache {
-        print_store_summary(cache);
-    }
-    if let Some(fit_cache) = &fit_cache {
-        print_fit_summary(fit_cache);
-    }
+    stores.print_summaries();
 }

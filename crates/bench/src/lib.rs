@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 use synrd::benchmark::{
-    assemble_report, run_grid_sharded_with_stores, BenchmarkConfig, CellStore, FitStore,
+    assemble_report, run_grid_sharded, run_paper_with_stores, BenchmarkConfig, CellStore, FitStore,
     PaperReport, Shard,
 };
 use synrd::Publication;
@@ -69,15 +69,15 @@ impl StoreOptions {
 /// Run `body` with the store viewed through `--resume` semantics: with the
 /// flag, cells are served from disk; without it, the cache is write-only
 /// (cells are recomputed and rewritten).
-pub fn with_cell_store<R>(
-    cache: &DiskCellCache,
+fn with_cell_store<R>(
+    cache: Option<&DiskCellCache>,
     resume: bool,
-    body: impl FnOnce(&dyn CellStore) -> R,
+    body: impl FnOnce(Option<&dyn CellStore>) -> R,
 ) -> R {
-    if resume {
-        body(cache)
-    } else {
-        body(&WriteOnly(cache))
+    match cache {
+        Some(cache) if resume => body(Some(cache)),
+        Some(cache) => body(Some(&WriteOnly(cache))),
+        None => body(None),
     }
 }
 
@@ -87,15 +87,15 @@ pub fn with_cell_store<R>(
 /// fit each `(synthesizer, ε, seed)` once — the redundant-refit fix),
 /// repopulating the cache as it goes. Fits are keyed by dataset content,
 /// so loads are bit-identical to refitting either way.
-pub fn with_fit_store<R>(
-    cache: &DiskFitCache,
+fn with_fit_store<R>(
+    cache: Option<&DiskFitCache>,
     resume: bool,
-    body: impl FnOnce(&dyn FitStore) -> R,
+    body: impl FnOnce(Option<&dyn FitStore>) -> R,
 ) -> R {
-    if resume {
-        body(cache)
-    } else {
-        body(&SessionFits::new(cache))
+    match cache {
+        Some(cache) if resume => body(Some(cache)),
+        Some(cache) => body(Some(&SessionFits::new(cache))),
+        None => body(None),
     }
 }
 
@@ -104,42 +104,37 @@ pub fn with_fit_store<R>(
 pub struct CliOptions {
     /// Grid configuration after flag overrides.
     pub config: BenchmarkConfig,
-    /// `--papers` filter (empty = all eight).
+    /// `--papers` filter (empty = all eight); every id is a registered
+    /// paper.
     pub papers: Vec<String>,
     /// Result-store options.
     pub store: StoreOptions,
 }
 
-/// Parse common CLI flags shared by the figure binaries.
+/// Parse the CLI flags shared by the figure binaries (`args` excludes the
+/// program name).
 ///
 /// Supported flags:
 /// * `--paper-scale` — full protocol (expect hours of compute);
 /// * `--papers a,b,c` — restrict to specific paper ids;
-/// * `--seeds K` / `--bootstraps B` / `--scale F` — override grid knobs;
-/// * `--threads N` — worker threads for the grid (1 = sequential; results
-///   are bit-identical either way);
+/// * `--seeds K` / `--bootstraps B` / `--threads N` — positive integers
+///   overriding the grid knobs (`--threads 1` is sequential; results are
+///   bit-identical at any count);
+/// * `--scale F` — positive multiplier on each paper's sample size;
 /// * `--out-dir DIR` — persist cells/reports into a result store;
 /// * `--resume` — serve already-stored cells instead of refitting;
 /// * `--shard i/n` — compute only shard `i` of `n` (requires `--out-dir`);
 /// * `--merge-shards a,b,c` — union shard stores into `--out-dir` and
 ///   assemble reports purely from cached cells;
-/// * `--ml-backend auto|cpu|simd` — execution backend for the batched ML
-///   kernels (PATE-CTGAN training). Every backend is bit-identical, so this
-///   changes throughput only: results, fingerprints and cached fits are
-///   unaffected. Defaults to the `SYNRD_ML_BACKEND` env var, then `auto`;
 /// * `--fit-threads auto|N` — intra-fit thread allowance per cell. `auto`
 ///   (the default) derives it from the core budget (`threads / live cells`,
 ///   floored at 1); `N` pins it. Fits are bit-identical at any thread
-///   count, so this too changes throughput only.
-pub fn config_from_args() -> (BenchmarkConfig, Vec<String>) {
-    let cli = cli_from_args();
-    (cli.config, cli.papers)
-}
-
-/// Full CLI parse, including the result-store flags (see
-/// [`config_from_args`] for the flag list).
-pub fn cli_from_args() -> CliOptions {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+///   count, so this changes throughput only.
+///
+/// # Errors
+/// A message for unknown arguments, unknown paper ids, missing or
+/// malformed flag values, and store-mode flags without `--out-dir`.
+pub fn cli_from(args: &[String]) -> Result<CliOptions, String> {
     let mut config = if args.iter().any(|a| a == "--paper-scale") {
         BenchmarkConfig::paper()
     } else {
@@ -147,49 +142,37 @@ pub fn cli_from_args() -> CliOptions {
     };
     let mut papers: Vec<String> = Vec::new();
     let mut store = StoreOptions::default();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
+        let flag = arg.as_str();
+        match flag {
+            "--paper-scale" => {}
             "--papers" => {
-                if let Some(list) = it.next() {
-                    papers = list.split(',').map(|s| s.trim().to_string()).collect();
-                }
+                papers = flag_value(flag, it.next())?
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .collect();
             }
-            "--seeds" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.seeds = v;
-                }
-            }
-            "--bootstraps" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.bootstraps = v;
-                }
-            }
+            "--seeds" => config.seeds = positive(flag, &flag_value(flag, it.next())?)?,
+            "--bootstraps" => config.bootstraps = positive(flag, &flag_value(flag, it.next())?)?,
+            "--threads" => config.threads = positive(flag, &flag_value(flag, it.next())?)?,
             "--scale" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.data_scale = v;
-                }
+                let spec = flag_value(flag, it.next())?;
+                config.data_scale = match spec.parse::<f64>() {
+                    Ok(v) if v.is_finite() && v > 0.0 => v,
+                    _ => return Err(format!("bad --scale '{spec}': expected a positive number")),
+                };
             }
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    config.threads = v;
-                }
-            }
-            "--out-dir" => {
-                store.out_dir = Some(PathBuf::from(flag_value("--out-dir", it.next())));
-            }
-            "--resume" => {
-                store.resume = true;
-            }
+            "--out-dir" => store.out_dir = Some(PathBuf::from(flag_value(flag, it.next())?)),
+            "--resume" => store.resume = true,
             "--shard" => {
-                let spec = flag_value("--shard", it.next());
-                store.shard = Some(parse_shard(&spec).unwrap_or_else(|msg| {
-                    eprintln!("bad --shard '{spec}': {msg}");
-                    std::process::exit(2);
-                }));
+                let spec = flag_value(flag, it.next())?;
+                let shard =
+                    parse_shard(&spec).map_err(|msg| format!("bad --shard '{spec}': {msg}"))?;
+                store.shard = Some(shard);
             }
             "--merge-shards" => {
-                store.merge_shards = flag_value("--merge-shards", it.next())
+                store.merge_shards = flag_value(flag, it.next())?
                     .split(',')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
@@ -197,107 +180,188 @@ pub fn cli_from_args() -> CliOptions {
                     .collect();
             }
             "--fit-threads" => {
-                let spec = flag_value("--fit-threads", it.next());
+                let spec = flag_value(flag, it.next())?;
                 config.fit_threads = match spec.as_str() {
                     "auto" => None,
-                    n => match n.parse::<usize>() {
-                        Ok(v) if v >= 1 => Some(v),
-                        _ => {
-                            eprintln!("bad --fit-threads '{spec}': expected 'auto' or a positive thread count");
-                            std::process::exit(2);
-                        }
-                    },
+                    n => Some(positive(flag, n).map_err(|e| format!("{e} or 'auto'"))?),
                 };
             }
-            "--ml-backend" => {
-                let name = flag_value("--ml-backend", it.next());
-                // Applied immediately to the process-global selection: the
-                // grid's worker threads pick it up through every
-                // `BatchWorkspace` they construct.
-                if let Err(e) = synrd_synth::ml_backend::set_global(Some(&name)) {
-                    eprintln!("bad --ml-backend '{name}': {e}");
-                    std::process::exit(2);
-                }
-            }
-            _ => {}
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    if (store.shard.is_some() || !store.merge_shards.is_empty()) && store.out_dir.is_none() {
-        eprintln!("--shard and --merge-shards require --out-dir");
-        std::process::exit(2);
+    if let Some(bad) = papers
+        .iter()
+        .find(|id| synrd::publication_by_id(id).is_none())
+    {
+        let valid: Vec<&str> = synrd::all_publications()
+            .iter()
+            .map(|p| p.dataset().id())
+            .collect();
+        return Err(format!(
+            "unknown paper id '{bad}' (valid: {})",
+            valid.join(", ")
+        ));
     }
-    CliOptions {
+    if (store.shard.is_some() || !store.merge_shards.is_empty()) && store.out_dir.is_none() {
+        return Err("--shard and --merge-shards require --out-dir".to_string());
+    }
+    Ok(CliOptions {
         config,
         papers,
         store,
-    }
+    })
 }
 
-/// `--shard i/n` mode, shared by the grid binaries: open the store, compute
-/// the owned slice of the global cell list, print the partition summary,
-/// and hand back the cache for the final `[store]` line. Exits on failure.
-pub fn run_shard_mode(
-    cli: &CliOptions,
-    papers: &[Box<dyn Publication>],
-    shard: Shard,
-) -> (DiskCellCache, DiskFitCache) {
-    let cache = cli
-        .store
-        .open_cache(&cli.config)
-        .expect("--shard requires --out-dir");
-    let fit_cache = cli
-        .store
-        .open_fit_cache(&cli.config)
-        .expect("--shard requires --out-dir");
-    match with_cell_store(&cache, cli.store.resume, |store| {
-        with_fit_store(&fit_cache, cli.store.resume, |fits| {
-            run_grid_sharded_with_stores(papers, &cli.config, store, Some(fits), shard)
-        })
-    }) {
-        Ok(s) => println!(
-            "shard {}/{}: owned {} of {} cells ({} computed, {} already stored)",
-            shard.index(),
-            shard.count(),
-            s.cells_owned,
-            s.cells_total,
-            s.cells_computed,
-            s.cells_cached
-        ),
-        Err(e) => {
-            eprintln!("shard run failed: {e}");
-            std::process::exit(1);
+/// [`cli_from`] over the process arguments, exiting with status 2 and the
+/// message on bad input.
+pub fn cli_from_args() -> CliOptions {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    cli_from(&args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// The stores a figure run used, for its closing telemetry lines.
+pub struct RunStores {
+    /// The cell store at `--out-dir`, if one was given.
+    pub cells: Option<DiskCellCache>,
+    /// The fit cache at `--out-dir`, if the run could fit (merge mode
+    /// never fits, so it reports no fit cache).
+    pub fits: Option<DiskFitCache>,
+}
+
+impl RunStores {
+    /// Print the one-line telemetry of each open store: `[store]` (cell
+    /// cache counters plus the process-wide fit and sampled-row counts)
+    /// and `[fits]` (fit cache counters). CI's cache end-to-end job greps
+    /// them for `misses=0`, `fits=0` and `hits=` on warm reruns.
+    pub fn print_summaries(&self) {
+        if let Some(cache) = &self.cells {
+            let stats = cache.stats();
+            println!(
+                "[store] dir={} fingerprint={} hits={} misses={} stores={} errors={} fits={} \
+                 sampled_rows={}",
+                cache.root().display(),
+                synrd_store::hex16(cache.fingerprint()),
+                stats.hits,
+                stats.misses,
+                stats.stores,
+                stats.errors,
+                synrd::benchmark::fits_performed(),
+                synrd::benchmark::rows_sampled(),
+            );
+        }
+        if let Some(cache) = &self.fits {
+            let stats = cache.stats();
+            println!(
+                "[fits] dir={} fingerprint={} hits={} misses={} stores={} errors={}",
+                cache.root().display(),
+                synrd_store::hex16(cache.fingerprint()),
+                stats.hits,
+                stats.misses,
+                stats.stores,
+                stats.errors,
+            );
         }
     }
-    (cache, fit_cache)
 }
 
-/// `--merge-shards` mode, shared by the grid binaries: union the shard
-/// stores into `--out-dir`, then assemble every report purely from cached
-/// cells (no fits), persisting each under `reports/`. Results are paired
-/// with paper names so callers can print-and-continue. Exits when the
-/// merge itself fails.
-#[allow(clippy::type_complexity)] // (name, Result) pairs mirror run_grid's shape
-pub fn assemble_from_shards(
+/// Run the grid the way `cli` asks; `fig3` and `fig4` differ only in how
+/// they render the reports.
+///
+/// * `--merge-shards`: union the shard stores (cells and fits) into
+///   `--out-dir`, then assemble every report purely from cached cells.
+/// * `--shard i/n`: compute the owned slice of the global cell list into
+///   the store, print the partition and store summaries, and return `None`
+///   — there is nothing to render until the shards are merged.
+/// * Otherwise run each paper, backed by the `--out-dir` stores if given.
+///   The fit store spans the whole paper loop, so later papers reuse fits
+///   an earlier paper computed on the same dataset.
+///
+/// Each paper's `(name, result)` goes to `on_report` as soon as it is
+/// ready, so callers can print-and-continue; with a store, successful
+/// reports are also persisted under `reports/`. Exits when a shard run or
+/// the merge itself fails.
+pub fn run_reports(
     cli: &CliOptions,
     papers: &[Box<dyn Publication>],
-) -> (
-    DiskCellCache,
-    Vec<(&'static str, synrd::Result<PaperReport>)>,
-) {
+    mut on_report: impl FnMut(&'static str, synrd::Result<PaperReport>),
+) -> Option<RunStores> {
+    let config = &cli.config;
+    let resume = cli.store.resume;
+    if !cli.store.merge_shards.is_empty() {
+        let cache = merge_shards(cli);
+        for paper in papers {
+            let result = assemble_report(paper.as_ref(), config, &cache);
+            if let Ok(report) = &result {
+                let _ = cache.write_report(report);
+            }
+            on_report(paper.name(), result);
+        }
+        return Some(RunStores {
+            cells: Some(cache),
+            fits: None,
+        });
+    }
+
+    let stores = RunStores {
+        cells: cli.store.open_cache(config),
+        fits: cli.store.open_fit_cache(config),
+    };
+    if let Some(shard) = cli.store.shard {
+        let summary = with_cell_store(stores.cells.as_ref(), resume, |store| {
+            with_fit_store(stores.fits.as_ref(), resume, |fits| {
+                let store = store.expect("--shard requires --out-dir");
+                run_grid_sharded(papers, config, store, fits, shard)
+            })
+        });
+        match summary {
+            Ok(s) => println!(
+                "shard {}/{}: owned {} of {} cells ({} computed, {} already stored)",
+                shard.index(),
+                shard.count(),
+                s.cells_owned,
+                s.cells_total,
+                s.cells_computed,
+                s.cells_cached
+            ),
+            Err(e) => {
+                eprintln!("shard run failed: {e}");
+                std::process::exit(1);
+            }
+        }
+        stores.print_summaries();
+        return None;
+    }
+
+    with_fit_store(stores.fits.as_ref(), resume, |fits| {
+        for paper in papers {
+            let result = with_cell_store(stores.cells.as_ref(), resume, |store| {
+                run_paper_with_stores(paper.as_ref(), config, store, fits)
+            });
+            if let (Ok(report), Some(cache)) = (&result, &stores.cells) {
+                let _ = cache.write_report(report);
+            }
+            on_report(paper.name(), result);
+        }
+    });
+    Some(stores)
+}
+
+/// Union the `--merge-shards` stores into `--out-dir`: cells into the cell
+/// store (returned for report assembly), fits into the fit cache so the
+/// merged store can feed `synrd serve`. Exits on failure.
+fn merge_shards(cli: &CliOptions) -> DiskCellCache {
     let dest = cli
         .store
         .out_dir
-        .clone()
+        .as_ref()
         .expect("--merge-shards requires --out-dir");
-    let cache = match merge_shard_dirs(&cli.store.merge_shards, &dest, &cli.config) {
-        Ok(cache) => cache,
-        Err(e) => {
-            eprintln!("merging shard stores failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // Union the shards' fit caches too, so the merged store can feed
-    // `synrd serve` (report assembly itself never fits).
+    let cache = merge_shard_dirs(&cli.store.merge_shards, dest, &cli.config).unwrap_or_else(|e| {
+        eprintln!("merging shard stores failed: {e}");
+        std::process::exit(1);
+    });
     if let Some(fit_cache) = cli.store.open_fit_cache(&cli.config) {
         for shard in &cli.store.merge_shards {
             if let Err(e) = fit_cache.merge_from(shard) {
@@ -306,68 +370,25 @@ pub fn assemble_from_shards(
             }
         }
     }
-    let results = papers
-        .iter()
-        .map(|paper| {
-            let result = assemble_report(paper.as_ref(), &cli.config, &cache);
-            if let Ok(report) = &result {
-                let _ = cache.write_report(report);
-            }
-            (paper.name(), result)
-        })
-        .collect();
-    (cache, results)
+    cache
 }
 
-/// One-line store/run telemetry: cache counters plus the process-wide grid
-/// fit count. CI's cache end-to-end job greps this for `misses=0` and
-/// `fits=0` on a warm rerun.
-pub fn print_store_summary(cache: &DiskCellCache) {
-    let stats = cache.stats();
-    println!(
-        "[store] dir={} fingerprint={} hits={} misses={} stores={} errors={} fits={} \
-         sampled_rows={}",
-        cache.root().display(),
-        synrd_store::hex16(cache.fingerprint()),
-        stats.hits,
-        stats.misses,
-        stats.stores,
-        stats.errors,
-        synrd::benchmark::fits_performed(),
-        synrd::benchmark::rows_sampled(),
-    );
-}
-
-/// One-line fit-cache telemetry, printed next to the `[store]` line. CI's
-/// end-to-end job greps `hits=` here to prove a warm rerun loaded every
-/// fit instead of recomputing it.
-pub fn print_fit_summary(cache: &DiskFitCache) {
-    let stats = cache.stats();
-    println!(
-        "[fits] dir={} fingerprint={} hits={} misses={} stores={} errors={}",
-        cache.root().display(),
-        synrd_store::hex16(cache.fingerprint()),
-        stats.hits,
-        stats.misses,
-        stats.stores,
-        stats.errors,
-    );
-}
-
-/// The value for a store flag that requires one: missing values and values
-/// that look like another flag are user errors, not directory names — both
-/// would otherwise silently disable or misdirect persistence.
-fn flag_value(flag: &str, next: Option<&String>) -> String {
+/// The value of a flag that requires one: a missing value, or one that
+/// looks like another flag, is a user error — either would otherwise
+/// silently misread the command line.
+fn flag_value(flag: &str, next: Option<&String>) -> Result<String, String> {
     match next {
-        Some(v) if !v.starts_with("--") => v.clone(),
-        Some(v) => {
-            eprintln!("{flag} requires a value, but got the flag '{v}'");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("{flag} requires a value");
-            std::process::exit(2);
-        }
+        Some(v) if !v.starts_with("--") => Ok(v.clone()),
+        Some(v) => Err(format!("{flag} requires a value, but got the flag '{v}'")),
+        None => Err(format!("{flag} requires a value")),
+    }
+}
+
+/// `flag`'s value `spec` as a positive integer.
+fn positive(flag: &str, spec: &str) -> Result<usize, String> {
+    match spec.parse::<usize>() {
+        Ok(v) if v >= 1 => Ok(v),
+        _ => Err(format!("bad {flag} '{spec}': expected a positive integer")),
     }
 }
 
@@ -384,7 +405,8 @@ pub fn parse_shard(spec: &str) -> Result<Shard, String> {
     Shard::new(index, count).map_err(|e| e.to_string())
 }
 
-/// The publications selected by `--papers` (all eight when empty).
+/// The publications selected by `--papers` (all eight when empty). Ids
+/// are validated by [`cli_from`].
 pub fn selected_publications(papers: &[String]) -> Vec<Box<dyn synrd::Publication>> {
     if papers.is_empty() {
         synrd::all_publications()
@@ -495,4 +517,76 @@ pub fn marginal_bench_dataset(rows: usize, shape: &[usize]) -> synrd_data::Datas
         .collect();
     synrd_data::Dataset::new(synrd_data::Domain::new(attrs), columns)
         .expect("generated codes are in range")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<CliOptions, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        cli_from(&args)
+    }
+
+    fn rejected(line: &str) -> String {
+        parse(line).expect_err(line)
+    }
+
+    #[test]
+    fn full_command_line_is_accepted() {
+        let cli = parse(
+            "--paper-scale --papers saw2018,fruiht2018 --seeds 2 --bootstraps 4 --scale 0.25 \
+             --threads 3 --fit-threads 2 --out-dir store --resume --shard 1/3",
+        )
+        .expect("valid command line");
+        assert_eq!(cli.papers, ["saw2018", "fruiht2018"]);
+        assert_eq!(cli.config.seeds, 2);
+        assert_eq!(cli.config.bootstraps, 4);
+        assert_eq!(cli.config.data_scale, 0.25);
+        assert_eq!(cli.config.threads, 3);
+        assert_eq!(cli.config.fit_threads, Some(2));
+        assert_eq!(
+            cli.config.fit_timeout,
+            BenchmarkConfig::paper().fit_timeout,
+            "--paper-scale selects the paper protocol"
+        );
+        assert_eq!(cli.store.out_dir, Some(PathBuf::from("store")));
+        assert!(cli.store.resume);
+        assert_eq!(cli.store.shard, Some(Shard::new(1, 3).unwrap()));
+        assert_eq!(selected_publications(&cli.papers).len(), 2);
+    }
+
+    #[test]
+    fn unknown_paper_ids_are_rejected_with_the_valid_list() {
+        let msg = rejected("--papers saw2018,nosuch");
+        assert!(msg.contains("'nosuch'"), "{msg}");
+        assert!(
+            msg.contains("saw2018") && msg.contains("jeong2021"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn malformed_numeric_flags_are_rejected() {
+        for flag in ["--seeds", "--bootstraps", "--threads"] {
+            for value in ["x", "0", "-1", "2.5"] {
+                let msg = rejected(&format!("{flag} {value}"));
+                assert!(msg.contains(flag), "{msg}");
+            }
+        }
+        for value in ["x", "0", "-0.1", "inf", "NaN"] {
+            let msg = rejected(&format!("--scale {value}"));
+            assert!(msg.contains("--scale"), "{msg}");
+        }
+        assert!(rejected("--fit-threads 0").contains("--fit-threads"));
+        assert!(rejected("--shard 3/3 --out-dir d").contains("--shard"));
+    }
+
+    #[test]
+    fn missing_values_and_unknown_arguments_are_rejected() {
+        assert!(rejected("--seeds").contains("requires a value"));
+        assert!(rejected("--papers --seeds 1").contains("requires a value"));
+        assert!(rejected("--ml-backend cpu").contains("unknown argument"));
+        assert!(rejected("--shard 0/2").contains("--out-dir"));
+    }
 }

@@ -48,11 +48,10 @@ pub fn paper_epsilons() -> Vec<f64> {
 
 /// Execution configuration.
 ///
-/// The ML backend (`synrd_synth::ml_backend`) is deliberately *not* a
-/// field here: backends are bit-identical, so backend choice changes
-/// throughput only, never results. Keeping it process-global keeps the
-/// config fingerprint — and therefore every cached fit and result digest
-/// — backend-free.
+/// The ML backend (`synrd_synth::ml_backend`) is *not* a field here: it
+/// is chosen from the CPU's features, and backends are bit-identical, so
+/// it changes throughput only, never results. The config fingerprint —
+/// and therefore every cached fit and result digest — is backend-free.
 #[derive(Debug, Clone)]
 pub struct BenchmarkConfig {
     /// ε values to sweep.
@@ -170,26 +169,6 @@ impl CoreBudget {
             None => (self.total / self.total.min(cells).max(1)).max(1),
         }
     }
-}
-
-/// Process-wide cache of grid thread pools, one per thread count: the grid
-/// drivers run many batches per process (per paper, per shard) and pool
-/// construction is not free, so `execute_on_pool` reuses one pool per count
-/// instead of building a fresh pool per invocation.
-fn shared_pool(threads: usize) -> std::sync::Arc<rayon::ThreadPool> {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    static POOLS: OnceLock<Mutex<HashMap<usize, Arc<rayon::ThreadPool>>>> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = pools.lock().expect("grid pool cache poisoned");
-    Arc::clone(map.entry(threads).or_insert_with(|| {
-        Arc::new(
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool construction cannot fail"),
-        )
-    }))
 }
 
 /// Why a cell has no parity numbers.
@@ -471,7 +450,11 @@ where
 {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if config.threads > 1 {
-            shared_pool(config.threads).install(|| items.par_iter().map(&f).collect())
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(config.threads)
+                .build()
+                .expect("thread pool construction cannot fail")
+                .install(|| items.par_iter().map(&f).collect())
         } else {
             items.iter().map(&f).collect()
         }
@@ -534,28 +517,15 @@ fn report_from(
 /// Fails if a finding cannot be evaluated on the *real* data (that would
 /// make parity meaningless); synthetic-side failures are folded into parity.
 pub fn run_paper(paper: &dyn Publication, config: &BenchmarkConfig) -> Result<PaperReport> {
-    run_paper_with(paper, config, None)
+    run_paper_with_stores(paper, config, None, None)
 }
 
-/// [`run_paper`] with an optional persistent cell store: each cell is looked
+/// [`run_paper`] with an optional persistent [`CellStore`] and
+/// [`FitStore`]: each cell is looked up before it is computed and written
+/// back after, and inside every computed cell each individual fit is looked
 /// up before fitting and written back after. Results are bit-identical with
-/// and without a store — every cell is a pure function of
+/// and without either store — every cell is a pure function of
 /// `(master seed, paper, synthesizer, ε)` via [`synrd_dp::grid_seed`].
-///
-/// # Errors
-/// Same contract as [`run_paper`].
-pub fn run_paper_with(
-    paper: &dyn Publication,
-    config: &BenchmarkConfig,
-    store: Option<&dyn CellStore>,
-) -> Result<PaperReport> {
-    run_paper_with_stores(paper, config, store, None)
-}
-
-/// [`run_paper_with`] plus an optional [`FitStore`]: inside every cell that
-/// is not served whole from the cell store, each individual fit is looked
-/// up before fitting and written back after. Results are bit-identical
-/// with and without either store.
 ///
 /// # Errors
 /// Same contract as [`run_paper`].
@@ -570,64 +540,19 @@ pub fn run_paper_with_stores(
     // Control row: nonparametric bootstrap of the real data through the
     // same pipeline (the paper's Bayesian-bootstrap control; see
     // DESIGN.md §3 for the resampling-vs-weighting note).
-    let control = control_row(paper, &ground, config)?;
+    let control = control_row(&ground, config)?;
 
     let grid = full_grid(config);
-    let paper_id = paper.dataset().id();
-    let fit_threads = CoreBudget::from_config(config).fit_threads(grid.len());
-    let cell = |&(s_idx, e_idx): &(usize, usize)| -> CellOutcome {
-        let kind = config.synthesizers[s_idx];
-        let epsilon = config.epsilons[e_idx];
-        if let Some(st) = store {
-            if let Some(hit) = st.load(paper_id, kind, epsilon) {
-                return hit;
-            }
-        }
-        let out = run_cell(paper_id, &ground, config, kind, epsilon, fits, fit_threads);
-        if let Some(st) = store {
-            st.save(paper_id, kind, epsilon, &out);
-        }
-        out
-    };
-    let outcomes = execute_on_pool(&grid, config, cell)?;
+    let (outcomes, _) = run_cells(paper.dataset().id(), &ground, config, &grid, store, fits)?;
     let cells = into_rows(outcomes, config);
     Ok(report_from(paper, config, &ground, control, cells))
 }
 
-/// Run every paper in order through [`run_paper_with`], pairing each result
-/// with the paper's display name so sweeps can print-and-continue.
-pub fn run_grid(
-    papers: &[Box<dyn Publication>],
-    config: &BenchmarkConfig,
-    store: Option<&dyn CellStore>,
-) -> Vec<(&'static str, Result<PaperReport>)> {
-    run_grid_with_stores(papers, config, store, None)
-}
-
-/// [`run_grid`] plus an optional [`FitStore`] (see
-/// [`run_paper_with_stores`]). Because fits are keyed by dataset content,
-/// papers sharing a dataset in one sweep fit each
-/// `(synthesizer, ε, seed)` once and reuse it everywhere else.
-pub fn run_grid_with_stores(
-    papers: &[Box<dyn Publication>],
-    config: &BenchmarkConfig,
-    store: Option<&dyn CellStore>,
-    fits: Option<&dyn FitStore>,
-) -> Vec<(&'static str, Result<PaperReport>)> {
-    papers
-        .iter()
-        .map(|p| {
-            (
-                p.name(),
-                run_paper_with_stores(p.as_ref(), config, store, fits),
-            )
-        })
-        .collect()
-}
-
 /// Compute (and persist) only the cells owned by `shard` out of the global
 /// (paper × synthesizer × ε) cell list, in the fixed order given by
-/// `papers`. Owned cells already present in the store are not recomputed.
+/// `papers`. Owned cells already present in the store are not recomputed,
+/// and each computed cell's fits go through `fits` (see
+/// [`run_paper_with_stores`]).
 ///
 /// Global cell indices are
 /// `paper_index · (S·E) + synth_index · E + eps_index`, so the partition is
@@ -641,20 +566,6 @@ pub fn run_grid_sharded(
     papers: &[Box<dyn Publication>],
     config: &BenchmarkConfig,
     store: &dyn CellStore,
-    shard: Shard,
-) -> Result<ShardSummary> {
-    run_grid_sharded_with_stores(papers, config, store, None, shard)
-}
-
-/// [`run_grid_sharded`] plus an optional [`FitStore`] (see
-/// [`run_paper_with_stores`]).
-///
-/// # Errors
-/// Same contract as [`run_grid_sharded`].
-pub fn run_grid_sharded_with_stores(
-    papers: &[Box<dyn Publication>],
-    config: &BenchmarkConfig,
-    store: &dyn CellStore,
     fits: Option<&dyn FitStore>,
     shard: Shard,
 ) -> Result<ShardSummary> {
@@ -664,40 +575,58 @@ pub fn run_grid_sharded_with_stores(
         ..ShardSummary::default()
     };
     for (p_idx, paper) in papers.iter().enumerate() {
-        let paper_id = paper.dataset().id();
         let owned: Vec<(usize, usize)> = full_grid(config)
             .into_iter()
             .filter(|&(s, e)| shard.owns(p_idx * per_paper + s * config.epsilons.len() + e))
             .collect();
-        let owned_count = owned.len();
-        summary.cells_owned += owned_count;
-        let todo: Vec<(usize, usize)> = owned
-            .into_iter()
-            .filter(|&(s, e)| {
-                store
-                    .load(paper_id, config.synthesizers[s], config.epsilons[e])
-                    .is_none()
-            })
-            .collect();
-        summary.cells_cached += owned_count - todo.len();
-        if todo.is_empty() {
+        if owned.is_empty() {
             continue;
         }
-        // Data generation and ground truth are only paid for papers that
-        // actually have work in this shard.
         let ground = ground_truth(paper.as_ref(), config)?;
-        let fit_threads = CoreBudget::from_config(config).fit_threads(todo.len());
-        let cell = |&(s_idx, e_idx): &(usize, usize)| -> CellOutcome {
-            let kind = config.synthesizers[s_idx];
-            let epsilon = config.epsilons[e_idx];
-            let out = run_cell(paper_id, &ground, config, kind, epsilon, fits, fit_threads);
-            store.save(paper_id, kind, epsilon, &out);
-            out
-        };
-        let computed = execute_on_pool(&todo, config, cell)?;
-        summary.cells_computed += computed.len();
+        let (outcomes, cached) = run_cells(
+            paper.dataset().id(),
+            &ground,
+            config,
+            &owned,
+            Some(store),
+            fits,
+        )?;
+        summary.cells_owned += outcomes.len();
+        summary.cells_cached += cached;
+        summary.cells_computed += outcomes.len() - cached;
     }
     Ok(summary)
+}
+
+/// The cell loop both grid drivers share: on the grid pool, serve each
+/// `(synth, ε)` coordinate from `store` when it holds the cell, otherwise
+/// compute it with [`run_cell`] and save it back. Returns the outcomes in
+/// `coords` order and how many of them came from the store.
+fn run_cells(
+    paper_id: &str,
+    ground: &PaperGround,
+    config: &BenchmarkConfig,
+    coords: &[(usize, usize)],
+    store: Option<&dyn CellStore>,
+    fits: Option<&dyn FitStore>,
+) -> Result<(Vec<CellOutcome>, usize)> {
+    let fit_threads = CoreBudget::from_config(config).fit_threads(coords.len());
+    let cached = AtomicU64::new(0);
+    let cell = |&(s_idx, e_idx): &(usize, usize)| -> CellOutcome {
+        let kind = config.synthesizers[s_idx];
+        let epsilon = config.epsilons[e_idx];
+        if let Some(hit) = store.and_then(|st| st.load(paper_id, kind, epsilon)) {
+            cached.fetch_add(1, Ordering::Relaxed);
+            return hit;
+        }
+        let out = run_cell(paper_id, ground, config, kind, epsilon, fits, fit_threads);
+        if let Some(st) = store {
+            st.save(paper_id, kind, epsilon, &out);
+        }
+        out
+    };
+    let outcomes = execute_on_pool(coords, config, cell)?;
+    Ok((outcomes, cached.into_inner() as usize))
 }
 
 /// Rebuild a full [`PaperReport`] purely from stored cells plus the
@@ -715,7 +644,7 @@ pub fn assemble_report(
     store: &dyn CellStore,
 ) -> Result<PaperReport> {
     let ground = ground_truth(paper, config)?;
-    let control = control_row(paper, &ground, config)?;
+    let control = control_row(&ground, config)?;
     let paper_id = paper.dataset().id();
     let mut cells: Vec<Vec<CellOutcome>> = Vec::with_capacity(config.synthesizers.len());
     for &kind in &config.synthesizers {
@@ -897,11 +826,7 @@ fn run_cell(
 /// grid pool (so at most `config.threads` resamples are alive), and the
 /// holds are summed in replicate order. The row is therefore bit-identical
 /// at any thread count.
-fn control_row(
-    _paper: &dyn Publication,
-    ground: &PaperGround,
-    config: &BenchmarkConfig,
-) -> Result<Vec<f64>> {
+fn control_row(ground: &PaperGround, config: &BenchmarkConfig) -> Result<Vec<f64>> {
     let PaperGround {
         real,
         findings,

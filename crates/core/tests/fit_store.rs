@@ -225,51 +225,6 @@ fn papers_sharing_a_dataset_share_every_fit() {
 }
 
 #[test]
-fn fit_cache_hits_across_ml_backends() {
-    let _serial = serial();
-    // ML backend selection is process-global and deliberately absent from
-    // both `FittedState` and the fit-cache key: backends are bit-identical,
-    // so a store populated under one backend must serve a run under the
-    // other with zero refits and bit-identical reports. PATECTGAN is the
-    // one synthesizer whose fit actually routes through the backend seam.
-    use synrd_synth::ml_backend;
-    let config = BenchmarkConfig {
-        seeds: 1,
-        synthesizers: vec![SynthKind::PateCtgan],
-        ..config()
-    };
-    let store = MemFitStore::default();
-    let expected_fits = (config.seeds * config.epsilons.len()) as u64;
-
-    ml_backend::set_global(Some("cpu")).unwrap();
-    let cpu_report = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
-    assert_eq!(store.stores.load(Ordering::Relaxed), expected_fits);
-
-    // Rerun on the SIMD backend where the CPU supports it (the test still
-    // checks cross-run hits on machines without it, just cpu-to-cpu).
-    let other = if ml_backend::select(Some("simd")).is_ok() {
-        "simd"
-    } else {
-        "cpu"
-    };
-    ml_backend::set_global(Some(other)).unwrap();
-    let before = fits_performed();
-    let other_report = run_paper_with_stores(&MeanPaper, &config, None, Some(&store)).unwrap();
-    ml_backend::set_global(Some("auto")).unwrap();
-
-    assert_eq!(
-        fits_performed() - before,
-        0,
-        "cpu-backend fits must serve a {other}-backend run"
-    );
-    assert_eq!(store.hits.load(Ordering::Relaxed), expected_fits);
-    assert!(
-        other_report.bitwise_eq(&cpu_report),
-        "served fits must be backend-independent bit for bit"
-    );
-}
-
-#[test]
 fn fit_cache_hits_across_fit_thread_counts() {
     let _serial = serial();
     // The intra-fit thread allowance is throughput-only and deliberately

@@ -7,8 +7,7 @@
 //! `input_gradient_batch`; those route every matrix-matrix product and
 //! optimizer step through a `Backend`. Two implementations exist:
 //! the scalar reference [`CpuBackend`] and the lane-blocked [`SimdBackend`]
-//! (AVX on x86-64, scalar elsewhere), selected at runtime through
-//! [`select`] / [`AnyBackend`] or the process-global [`global`] dispatch.
+//! (AVX on x86-64, scalar elsewhere), chosen at runtime by [`global`].
 //!
 //! # Reduction-order contract
 //!
@@ -33,18 +32,16 @@
 //!
 //! # Runtime dispatch
 //!
-//! [`select`] maps `auto | cpu | simd` to an [`AnyBackend`]; `auto` picks
-//! SIMD when the CPU supports it. A process-global selection — initialized
-//! lazily from the `SYNRD_ML_BACKEND` environment variable, overridable via
-//! [`set_global`] (the `--ml-backend` CLI flags) — feeds
+//! [`global`] picks [`SimdBackend`] when the CPU supports it and
+//! [`CpuBackend`] otherwise; there is no user override. It feeds
 //! [`BatchWorkspace::new`](crate::BatchWorkspace::new), so synthesizer code
-//! picks the selected backend up without plumbing. Because every backend is
-//! bit-identical, the selection affects throughput only: fitted states,
-//! cache fingerprints and golden digests are the same under any backend.
+//! picks the backend up without plumbing. Because every backend is
+//! bit-identical, the choice affects throughput only: fitted states, cache
+//! fingerprints and golden digests are the same under any backend.
+//! [`CpuBackend`] stays as the reference the differential tests compare
+//! against (over [`registered_backends`]).
 
-use crate::error::{MlError, Result};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// The compute primitives behind the batched MLP passes: three GEMM-shaped
 /// kernels plus the element-wise Adam update.
@@ -1008,8 +1005,7 @@ pub fn weight_grad_gemm_mt<B: Backend + Sync>(
 }
 
 // ---------------------------------------------------------------------------
-// Runtime dispatch: `auto | cpu | simd` selection and the process-global
-// active backend.
+// Runtime dispatch: the CPU-feature choice of the active backend.
 // ---------------------------------------------------------------------------
 
 /// A runtime-selected backend: the closed set of registered [`Backend`]
@@ -1024,8 +1020,8 @@ pub enum AnyBackend {
 }
 
 impl AnyBackend {
-    /// Stable lowercase name, round-trippable through [`select`]; reported
-    /// by the serve `stats` response and the perf record.
+    /// Stable lowercase name, reported by the serve `stats` response and
+    /// the perf record.
     pub fn name(self) -> &'static str {
         match self {
             AnyBackend::Cpu => "cpu",
@@ -1127,33 +1123,6 @@ impl Backend for AnyBackend {
     }
 }
 
-/// Resolve a backend name: `None` or `"auto"` picks [`SimdBackend`] when
-/// the CPU supports it and [`CpuBackend`] otherwise; `"cpu"` / `"simd"`
-/// force a backend (`"simd"` errors on unsupported CPUs rather than
-/// silently degrading).
-///
-/// # Errors
-/// [`MlError::UnknownBackend`] for unrecognized names,
-/// [`MlError::BackendUnsupported`] when `"simd"` is forced without AVX.
-pub fn select(name: Option<&str>) -> Result<AnyBackend> {
-    match name.unwrap_or("auto") {
-        "auto" => Ok(if SimdBackend::supported() {
-            AnyBackend::Simd
-        } else {
-            AnyBackend::Cpu
-        }),
-        "cpu" => Ok(AnyBackend::Cpu),
-        "simd" => {
-            if SimdBackend::supported() {
-                Ok(AnyBackend::Simd)
-            } else {
-                Err(MlError::BackendUnsupported("simd"))
-            }
-        }
-        other => Err(MlError::UnknownBackend(other.to_string())),
-    }
-}
-
 /// Every registered backend the current CPU can execute: [`CpuBackend`]
 /// always, [`SimdBackend`] when supported. Differential tests and benches
 /// iterate this list so future backends are covered for free.
@@ -1165,67 +1134,20 @@ pub fn registered_backends() -> Vec<AnyBackend> {
     all
 }
 
-// Process-global selection, encoded for the atomic: 0 = not yet
-// initialized, otherwise `encode(backend)`.
-static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(0);
-
-fn encode(backend: AnyBackend) -> u8 {
-    match backend {
-        AnyBackend::Cpu => 1,
-        AnyBackend::Simd => 2,
-    }
-}
-
-fn decode(v: u8) -> Option<AnyBackend> {
-    match v {
-        1 => Some(AnyBackend::Cpu),
-        2 => Some(AnyBackend::Simd),
-        _ => None,
-    }
-}
-
-fn init_from_env() -> AnyBackend {
-    let chosen = match std::env::var("SYNRD_ML_BACKEND") {
-        Ok(v) => select(Some(&v)).unwrap_or_else(|e| {
-            // A bad env value must not abort a fit; degrade loudly to auto.
-            eprintln!("[synrd-ml] SYNRD_ML_BACKEND ignored: {e}");
-            select(None).expect("auto selection cannot fail")
-        }),
-        Err(_) => select(None).expect("auto selection cannot fail"),
-    };
-    GLOBAL_BACKEND.store(encode(chosen), Ordering::Relaxed);
-    chosen
-}
-
-/// The process-global active backend, used by
-/// [`BatchWorkspace::new`](crate::BatchWorkspace::new). Initialized lazily
-/// from `SYNRD_ML_BACKEND` (`auto` when unset or invalid, with a warning on
-/// invalid values); changeable at any time via [`set_global`]. Workspaces
-/// capture the selection at construction time.
+/// The active backend, used by
+/// [`BatchWorkspace::new`](crate::BatchWorkspace::new): [`SimdBackend`]
+/// when the CPU supports it, [`CpuBackend`] otherwise.
 pub fn global() -> AnyBackend {
-    match decode(GLOBAL_BACKEND.load(Ordering::Relaxed)) {
-        Some(b) => b,
-        // Benign race: concurrent initializers compute the same value.
-        None => init_from_env(),
+    if SimdBackend::supported() {
+        AnyBackend::Simd
+    } else {
+        AnyBackend::Cpu
     }
 }
 
-/// Name of the process-global active backend (`"cpu"` or `"simd"`).
+/// Name of the active backend (`"cpu"` or `"simd"`).
 pub fn global_name() -> &'static str {
     global().name()
-}
-
-/// Set the process-global backend from a CLI-style name (see [`select`]).
-/// Returns the resolved backend. Only workspaces constructed *after* this
-/// call pick up the change.
-///
-/// # Errors
-/// Propagates [`select`]'s errors; the global selection is unchanged on
-/// error.
-pub fn set_global(name: Option<&str>) -> Result<AnyBackend> {
-    let backend = select(name)?;
-    GLOBAL_BACKEND.store(encode(backend), Ordering::Relaxed);
-    Ok(backend)
 }
 
 /// The x86-64 feature probes behind [`SimdBackend::supported`], for
@@ -1477,36 +1399,24 @@ mod tests {
     }
 
     #[test]
-    fn select_resolves_names() {
-        assert!(matches!(select(Some("cpu")), Ok(AnyBackend::Cpu)));
-        let auto = select(None).expect("auto");
-        assert_eq!(auto, select(Some("auto")).expect("auto"));
-        if SimdBackend::supported() {
-            assert_eq!(auto, AnyBackend::Simd);
-            assert!(matches!(select(Some("simd")), Ok(AnyBackend::Simd)));
+    fn global_is_simd_exactly_when_supported() {
+        let expected = if SimdBackend::supported() {
+            AnyBackend::Simd
         } else {
-            assert_eq!(auto, AnyBackend::Cpu);
-            assert!(matches!(
-                select(Some("simd")),
-                Err(MlError::BackendUnsupported("simd"))
-            ));
-        }
-        assert!(matches!(
-            select(Some("gpu")),
-            Err(MlError::UnknownBackend(_))
-        ));
+            AnyBackend::Cpu
+        };
+        assert_eq!(global(), expected);
     }
 
     #[test]
-    fn global_selection_is_switchable() {
-        // Whatever the ambient env says, an explicit set wins; restore auto
-        // afterwards so parallel tests in this binary see a sane global.
-        assert_eq!(set_global(Some("cpu")).expect("cpu"), AnyBackend::Cpu);
-        assert_eq!(global_name(), "cpu");
-        assert!(set_global(Some("nope")).is_err());
-        assert_eq!(global_name(), "cpu", "failed set leaves global unchanged");
-        let auto = set_global(None).expect("auto");
-        assert_eq!(global(), auto);
+    fn global_name_reports_the_active_backend() {
+        let expected = if SimdBackend::supported() {
+            "simd"
+        } else {
+            "cpu"
+        };
+        assert_eq!(global_name(), expected);
+        assert_eq!(global_name(), global().name());
     }
 
     #[test]
@@ -1514,8 +1424,6 @@ mod tests {
         let all = registered_backends();
         assert_eq!(all[0], AnyBackend::Cpu);
         assert_eq!(all.len() > 1, SimdBackend::supported());
-        for b in all {
-            assert!(matches!(select(Some(b.name())), Ok(got) if got == b));
-        }
+        assert_eq!(all.last(), Some(&global()));
     }
 }

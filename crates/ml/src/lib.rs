@@ -1,11 +1,10 @@
 //! # synrd-ml — ML substrate for classifier-based findings
 //!
-//! Jeong et al. train three model families (logistic regression — provided
-//! by `synrd-stats` — random forest, and a linear SVC) and compare fairness
-//! metrics across racial groups. This crate supplies:
+//! Jeong et al. compare classifiers' fairness metrics across racial groups;
+//! the reproduction trains a logistic regression (provided by
+//! `synrd-stats`) and a random forest. This crate supplies:
 //!
 //! * [`tree`] / [`forest`] — CART decision trees and bagged random forests;
-//! * [`svm`] — linear SVC (Pegasos SGD on the hinge loss);
 //! * [`metrics`](mod@metrics) — accuracy / FPR / FNR / predicted-base-rate, per group;
 //! * [`split`] — train/test splitting;
 //! * [`nn`] — a compact MLP with manual backprop and Adam, the neural
@@ -18,7 +17,6 @@ pub mod forest;
 pub mod metrics;
 pub mod nn;
 pub mod split;
-pub mod svm;
 pub mod tree;
 
 pub use backend::{AnyBackend, Backend, CpuBackend, SimdBackend};
@@ -29,5 +27,4 @@ pub use metrics::{group_metrics, metrics, Metrics};
 pub use nn::ForwardCache;
 pub use nn::{Activation, BatchWorkspace, DenseState, Mlp, MlpState};
 pub use split::train_test_split;
-pub use svm::{LinearSvc, SvcOptions};
 pub use tree::{DecisionTree, TreeOptions};

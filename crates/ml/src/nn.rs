@@ -12,11 +12,11 @@
 //! execute one matrix-matrix pass per layer over row-major `[batch × dim]`
 //! activation arenas held in a reusable [`BatchWorkspace`] (zero-alloc after
 //! warm-up) and route every GEMM through a [`Backend`]. Each workspace
-//! captures the process-global backend selection
+//! captures the active backend
 //! ([`backend::global`](crate::backend::global) — the SIMD kernels when the
-//! CPU supports them, overridable via `SYNRD_ML_BACKEND` / `--ml-backend`)
-//! at construction, so synthesizer code picks up SIMD execution without
-//! naming a backend; the `*_with` variants take one explicitly.
+//! CPU supports them) at construction, so synthesizer code picks up SIMD
+//! execution without naming a backend; the `*_with` variants take one
+//! explicitly.
 //!
 //! The reduction order is pinned: each output cell sums its dot product in
 //! ascending index order, and batch gradients accumulate example-major. A

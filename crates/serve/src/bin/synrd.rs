@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! synrd serve --out-dir DIR [--addr HOST:PORT] [--workers N]
-//!             [--ml-backend auto|cpu|simd] [--fit-threads auto|N]
-//!             [grid knobs]
+//!             [--fit-threads auto|N] [grid knobs]
 //! synrd request ADDR 'JSON'        # one request line, prints the response
 //! synrd bench-serve [--quick] [--out BENCH_serve.json]
 //! ```
@@ -77,14 +76,6 @@ fn cmd_serve(args: &[String]) {
         eprintln!("serve requires --out-dir (the grid run's result store)");
         std::process::exit(2);
     };
-    // Backend for any ML work the service performs (bit-identical across
-    // backends; the `stats` response reports the active one).
-    if let Some(name) = flag_value(args, "--ml-backend") {
-        if let Err(e) = synrd_synth::ml_backend::set_global(Some(&name)) {
-            eprintln!("bad --ml-backend '{name}': {e}");
-            std::process::exit(2);
-        }
-    }
     // Intra-fit thread allowance for any fits the process performs
     // (bit-identical at any count; the `stats` response reports it).
     // `auto` keeps the default (`SYNRD_FIT_THREADS`, else sequential).

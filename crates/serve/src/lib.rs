@@ -318,7 +318,7 @@ fn handle_stats(service: &FitService) -> JsonValue {
             "restored_in_memory",
             JsonValue::Uint(service.restored.read().unwrap().len() as u64),
         ),
-        // Active ML execution backend (`--ml-backend` / `SYNRD_ML_BACKEND`).
+        // Active ML execution backend (chosen from the CPU's features).
         // Informational: backends are bit-identical, so serving results do
         // not depend on it.
         (

@@ -1,21 +1,18 @@
-//! Hypothesis tests: two-proportion z, Welch's t, and χ² independence.
+//! Hypothesis tests: the two-proportion z-test.
 //!
 //! Findings in the benchmark papers frequently assert that a gap is
 //! "statistically significant"; these tests instantiate that language.
 
-use crate::descriptive::{mean, variance};
 use crate::error::{Result, StatsError};
-use crate::special::{normal_cdf, t_cdf};
+use crate::special::normal_cdf;
 
 /// Outcome of a two-sided test.
 #[derive(Debug, Clone, Copy)]
 pub struct TestResult {
-    /// Test statistic (z, t, or χ²).
+    /// Test statistic.
     pub statistic: f64,
     /// Two-sided p-value.
     pub p_value: f64,
-    /// Degrees of freedom where applicable (NaN for z tests).
-    pub df: f64,
 }
 
 impl TestResult {
@@ -43,80 +40,6 @@ pub fn two_proportion_z(p1: f64, n1: usize, p2: f64, n2: usize) -> Result<TestRe
     Ok(TestResult {
         statistic: z,
         p_value: 2.0 * (1.0 - normal_cdf(z.abs())),
-        df: f64::NAN,
-    })
-}
-
-/// Welch's unequal-variance t-test with Welch–Satterthwaite df.
-pub fn welch_t(a: &[f64], b: &[f64]) -> Result<TestResult> {
-    let va = variance(a)?;
-    let vb = variance(b)?;
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let se2 = va / na + vb / nb;
-    if se2 <= 0.0 {
-        return Ok(TestResult {
-            statistic: 0.0,
-            p_value: 1.0,
-            df: na + nb - 2.0,
-        });
-    }
-    let t = (mean(a) - mean(b)) / se2.sqrt();
-    let df = se2 * se2
-        / ((va / na).powi(2) / (na - 1.0) + (vb / nb).powi(2) / (nb - 1.0)).max(f64::MIN_POSITIVE);
-    Ok(TestResult {
-        statistic: t,
-        p_value: 2.0 * (1.0 - t_cdf(t.abs(), df)),
-        df,
-    })
-}
-
-/// χ² test of independence on a contingency table given as rows of counts.
-/// Uses the normal-approximation p-value via the Wilson–Hilferty cube-root
-/// transform, accurate for the table sizes in the benchmark.
-pub fn chi_square_independence(table: &[Vec<f64>]) -> Result<TestResult> {
-    let r = table.len();
-    let c = table.first().map_or(0, Vec::len);
-    if r < 2 || c < 2 {
-        return Err(StatsError::TooFewObservations {
-            needed: 2,
-            got: r.min(c),
-        });
-    }
-    for row in table {
-        if row.len() != c {
-            return Err(StatsError::LengthMismatch {
-                left: row.len(),
-                right: c,
-            });
-        }
-    }
-    let total: f64 = table.iter().flatten().sum();
-    if total <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "table_total",
-            value: total,
-        });
-    }
-    let row_sums: Vec<f64> = table.iter().map(|row| row.iter().sum()).collect();
-    let col_sums: Vec<f64> = (0..c)
-        .map(|j| table.iter().map(|row| row[j]).sum())
-        .collect();
-    let mut chi2 = 0.0;
-    for i in 0..r {
-        for j in 0..c {
-            let expected = row_sums[i] * col_sums[j] / total;
-            if expected > 0.0 {
-                chi2 += (table[i][j] - expected).powi(2) / expected;
-            }
-        }
-    }
-    let df = ((r - 1) * (c - 1)) as f64;
-    // Wilson–Hilferty: (χ²/df)^(1/3) ≈ Normal(1 − 2/(9df), 2/(9df)).
-    let wh = ((chi2 / df).powf(1.0 / 3.0) - (1.0 - 2.0 / (9.0 * df))) / (2.0 / (9.0 * df)).sqrt();
-    Ok(TestResult {
-        statistic: chi2,
-        p_value: 1.0 - normal_cdf(wh),
-        df,
     })
 }
 
@@ -133,27 +56,7 @@ mod tests {
     }
 
     #[test]
-    fn welch_detects_mean_shift() {
-        let a: Vec<f64> = (0..200).map(|i| (i % 10) as f64).collect();
-        let b: Vec<f64> = (0..200).map(|i| (i % 10) as f64 + 2.0).collect();
-        let t = welch_t(&a, &b).unwrap();
-        assert!(t.significant(1e-6));
-        assert!(t.statistic < 0.0);
-    }
-
-    #[test]
-    fn chi_square_independence_works() {
-        // Strong association.
-        let dep = chi_square_independence(&[vec![90.0, 10.0], vec![30.0, 70.0]]).unwrap();
-        assert!(dep.significant(1e-6), "p = {}", dep.p_value);
-        // Independence.
-        let ind = chi_square_independence(&[vec![50.0, 50.0], vec![50.0, 50.0]]).unwrap();
-        assert!(!ind.significant(0.05), "p = {}", ind.p_value);
-    }
-
-    #[test]
     fn input_validation() {
         assert!(two_proportion_z(0.5, 0, 0.5, 10).is_err());
-        assert!(chi_square_independence(&[vec![1.0, 2.0]]).is_err());
     }
 }

@@ -11,11 +11,9 @@
 //! * [`regression`] / [`logistic`](mod@logistic) — OLS/WLS and IRLS logistic regression
 //!   with standard errors (coefficient-comparison finding types);
 //! * [`mediation`](mod@mediation) — PROCESS-style moderation/mediation via OLS;
-//! * [`hypothesis`] — two-proportion z, Welch t, χ² independence;
+//! * [`hypothesis`] — the two-proportion z-test;
 //! * [`bootstrap`] — standard and Bayesian (Dirichlet-weight) bootstrap, the
 //!   paper's control condition;
-//! * [`rubin`] — Rubin's rules (paper Eqs. 1–5) for combining estimates over
-//!   synthetic replicates;
 //! * [`special`] / [`linalg`] — numerical underpinnings.
 
 #![allow(clippy::needless_range_loop)] // indexed loops are the clearer idiom in numeric kernels
@@ -28,7 +26,6 @@ pub mod linalg;
 pub mod logistic;
 pub mod mediation;
 pub mod regression;
-pub mod rubin;
 pub mod special;
 
 pub use correlation::{is_strong, pearson, ranks, spearman};
@@ -36,9 +33,8 @@ pub use descriptive::{
     iqr, mean, mean_difference, median, quantile, std_dev, variance, weighted_mean,
 };
 pub use error::{Result, StatsError};
-pub use hypothesis::{chi_square_independence, two_proportion_z, welch_t, TestResult};
+pub use hypothesis::{two_proportion_z, TestResult};
 pub use linalg::Matrix;
 pub use logistic::{logistic, logistic_columns, odds_ratio_2x2, LogisticFit, LogisticOptions};
 pub use mediation::{mediation, moderation, Mediation, Moderation};
 pub use regression::{ols, ols_columns, wls, LinearFit};
-pub use rubin::{combine as rubin_combine, RubinResult};

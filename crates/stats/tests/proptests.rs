@@ -1,7 +1,7 @@
 //! Property-based tests for statistical invariants.
 
 use proptest::prelude::*;
-use synrd_stats::{mean, pearson, ranks, rubin_combine, spearman, special, variance};
+use synrd_stats::{mean, pearson, ranks, spearman, special, variance};
 
 fn finite_vec(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, len)
@@ -56,17 +56,6 @@ proptest! {
         let lo = x.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
-    }
-
-    /// Rubin's pooled estimate is the mean of the inputs, and the interval
-    /// contains it.
-    #[test]
-    fn rubin_pooled_sane(q in finite_vec(2..=20), vscale in 0.001f64..10.0) {
-        let v = vec![vscale; q.len()];
-        let r = rubin_combine(&q, &v).unwrap();
-        prop_assert!((r.estimate - mean(&q)).abs() < 1e-6);
-        let (lo, hi) = r.confidence_interval(0.95);
-        prop_assert!(lo <= r.estimate && r.estimate <= hi);
     }
 
     /// Normal quantile inverts the CDF across the open unit interval.

@@ -41,11 +41,11 @@ pub use workload::{all_pairs, all_pairs_under, WorkloadQuery};
 // marginal counting counter), re-exported so the grid driver and tests can
 // read them without a direct synrd-pgm dependency.
 pub use synrd_pgm::{rows_sampled, sampling_passes};
-// The ML backend dispatch (`auto | cpu | simd`), re-exported so the grid
-// driver and the serve binary can apply `--ml-backend` / report the active
-// backend without a direct synrd-ml dependency. Backend selection changes
-// throughput only — every backend is bit-identical, so fitted states and
-// cache fingerprints do not depend on it.
+// The ML backend dispatch, re-exported so the serve binary and the perf
+// record can report the active backend without a direct synrd-ml
+// dependency. The backend changes throughput only — every backend is
+// bit-identical, so fitted states and cache fingerprints do not depend on
+// it.
 pub use synrd_ml::backend as ml_backend;
 
 use std::sync::atomic::{AtomicUsize, Ordering};

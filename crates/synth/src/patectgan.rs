@@ -19,10 +19,10 @@
 //! layer via `synrd-ml`'s [`BatchWorkspace`] kernels instead of `batch`
 //! per-example passes (gradients are summed over the round's samples and
 //! applied as a single Adam step per network per round). The workspaces
-//! capture the process-global ML backend (`synrd_ml::backend::global`) at
-//! construction, so `--ml-backend simd` accelerates both networks' GEMMs
-//! without touching this file; every backend is bit-identical, so the
-//! fitted state is the same regardless. The per-example formulation of the
+//! capture the active ML backend (`synrd_ml::backend::global`, SIMD when
+//! the CPU supports it) at construction, so both networks' GEMMs are
+//! vectorized without touching this file; every backend is bit-identical,
+//! so the fitted state is the same regardless. The per-example formulation of the
 //! same semantics is retained under `cfg(test)` (`fit_naive`) as a
 //! differential oracle; `fit` must reproduce its fitted state bit-for-bit.
 
