@@ -1,8 +1,9 @@
 //! Records the kernel performance trajectory to `BENCH_pgm.json` (factor
 //! algebra), `BENCH_marginal.json` (marginal-counting engine),
 //! `BENCH_sampling.json` (row-generation engine), `BENCH_dataset.json`
-//! (bit-packed columnar storage) and `BENCH_ml.json` (batched MLP kernels
-//! and the jeong2021 random-forest fit).
+//! (bit-packed columnar storage), `BENCH_ml.json` (batched MLP kernels
+//! and the jeong2021 random-forest fit) and `BENCH_fit.json` (intra-fit
+//! parallelism and GEM's trainer).
 //!
 //! Times a small fixed grid of calibration problems through both factor
 //! algebras — the stride kernels that power production and the retained
@@ -810,11 +811,86 @@ fn rich_problem(d: usize, card: usize) -> (Vec<usize>, Vec<NoisyMeasurement>) {
     (domain, ms)
 }
 
+/// GEM's trainer: the quick-scale saw2018 and jeong2021 datasets
+/// (`BenchmarkConfig::quick()` rows and data seed) fitted by the default
+/// GEM at native ε = 1, on one thread, through `fit_with` (each softmax
+/// once per step) and the retained `fit_naive` oracle. Bit-identity of the
+/// fitted states and of a sample is asserted before timing. Returns the
+/// record rows and the minimum speedup over the oracle.
+fn gem_leg(quick: bool) -> (Vec<JsonValue>, f64) {
+    use synrd::benchmark::BenchmarkConfig;
+    use synrd::publication_by_id;
+    use synrd_store::JsonCodec;
+    use synrd_synth::{FitContext, Gem, SynthKind, Synthesizer};
+
+    let config = BenchmarkConfig::quick();
+    let reps = if quick { 3 } else { 7 };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let ctx = FitContext::sequential();
+    let mut rows = Vec::new();
+    let mut min_speedup = f64::INFINITY;
+    for id in ["saw2018", "jeong2021"] {
+        let paper = publication_by_id(id).expect("registered paper");
+        let data = paper.generate(config.rows_for(paper.dataset().paper_n()), config.data_seed);
+        let privacy = SynthKind::Gem.native_privacy(1.0, data.n_rows());
+        let fit = |naive: bool| {
+            let mut gem = Gem::default();
+            if naive {
+                gem.fit_naive(&data, privacy, 0, ctx)
+            } else {
+                gem.fit_with(&data, privacy, 0, ctx)
+            }
+            .expect("GEM fit");
+            gem
+        };
+        let (new, naive) = (fit(false), fit(true));
+        let state = |gem: &Gem| gem.fitted_state().expect("fitted").to_json_text();
+        assert_eq!(
+            state(&new),
+            state(&naive),
+            "{id}: GEM fitted state != naive oracle"
+        );
+        assert_eq!(
+            new.sample(2_000, 1).expect("sample"),
+            naive.sample(2_000, 1).expect("sample"),
+            "{id}: GEM sample != naive oracle"
+        );
+        let new_ns = median_ns(reps, || {
+            black_box(fit(false));
+        });
+        let naive_ns = median_ns(reps, || {
+            black_box(fit(true));
+        });
+        let speedup = naive_ns / new_ns;
+        min_speedup = min_speedup.min(speedup);
+        let name = format!("{id}-gem");
+        println!(
+            "fit        {name:<14} new {new_ns:>12.0} ns   naive {naive_ns:>12.0} ns   speedup {speedup:>5.2}x   \
+             ({} x {}, nproc {nproc})",
+            data.n_rows(),
+            data.n_attrs()
+        );
+        rows.push(JsonValue::obj(vec![
+            ("name", JsonValue::Str(name)),
+            ("rows", JsonValue::Uint(data.n_rows() as u64)),
+            ("attrs", JsonValue::Uint(data.n_attrs() as u64)),
+            ("fit_threads", JsonValue::Uint(1)),
+            ("new_ns", JsonValue::Num(new_ns)),
+            ("naive_ns", JsonValue::Num(naive_ns)),
+            ("speedup", JsonValue::Num(speedup)),
+            ("bit_identical", JsonValue::Bool(true)),
+            ("nproc", JsonValue::Uint(nproc as u64)),
+        ]));
+    }
+    (rows, min_speedup)
+}
+
 /// Intra-fit parallelism: sequential vs 8-thread mirror descent on
 /// descent-dominated shapes (bit-identity asserted before any timing), plus
-/// the two-level core-budget grid leg; writes `BENCH_fit.json`. Returns
-/// `(min single-cell speedup at 8 threads, grid plain/budget wall ratio)`.
-fn fit_section(quick: bool, out_path: &str) -> (f64, f64) {
+/// the two-level core-budget grid leg and GEM's trainer ([`gem_leg`]);
+/// writes `BENCH_fit.json`. Returns `(min single-cell speedup at 8 threads,
+/// grid plain/budget wall ratio, min GEM speedup over its oracle)`.
+fn fit_section(quick: bool, out_path: &str) -> (f64, f64, f64) {
     use synrd::benchmark::{run_paper, BenchmarkConfig};
     use synrd::publication_by_id;
     use synrd_synth::SynthKind;
@@ -921,6 +997,8 @@ fn fit_section(quick: bool, out_path: &str) -> (f64, f64) {
         "fit        grid-budget    cells-only {plain_ns:>10.0} ns   budgeted {budget_ns:>10.0} ns   ratio {grid_ratio:>5.2}x"
     );
 
+    let (gem_rows, gem_min) = gem_leg(quick);
+
     let doc = JsonValue::obj(vec![
         ("schema", JsonValue::Str("synrd-bench-fit/1".to_string())),
         (
@@ -940,18 +1018,23 @@ fn fit_section(quick: bool, out_path: &str) -> (f64, f64) {
                 ("report_bitwise_equal", JsonValue::Bool(true)),
             ]),
         ),
+        ("gem", JsonValue::Arr(gem_rows)),
         (
             "summary",
             JsonValue::obj(vec![
                 ("fit_speedup_min", JsonValue::Num(fit_min)),
                 ("grid_budget_ratio", JsonValue::Num(grid_ratio)),
+                ("gem_speedup_min", JsonValue::Num(gem_min)),
                 ("speedup_gate_active", JsonValue::Bool(host_threads >= mt)),
             ]),
         ),
     ]);
     std::fs::write(out_path, format!("{}\n", doc.to_text())).expect("write BENCH_fit.json");
-    println!("wrote {out_path} (min fit speedup {fit_min:.2}x, grid ratio {grid_ratio:.2}x)");
-    (fit_min, grid_ratio)
+    println!(
+        "wrote {out_path} (min fit speedup {fit_min:.2}x, grid ratio {grid_ratio:.2}x, \
+         min GEM speedup {gem_min:.2}x)"
+    );
+    (fit_min, grid_ratio, gem_min)
 }
 
 fn main() {
@@ -1135,8 +1218,8 @@ fn main() {
     // --- ML kernels: batched MLP round vs the per-example oracle -----------
     let (ml_min, ml_simd_min, forest_speedup) = ml_section(quick, &ml_out);
 
-    // --- Intra-fit parallelism: descent scaling + core-budget grid ---------
-    let (fit_min, grid_ratio) = fit_section(quick, &fit_out);
+    // --- Intra-fit parallelism, core-budget grid and GEM's trainer ---------
+    let (fit_min, grid_ratio, gem_min) = fit_section(quick, &fit_out);
 
     if min_speedup < 1.0 {
         eprintln!("warning: stride kernels slower than naive on some problem");
@@ -1223,6 +1306,14 @@ fn main() {
         eprintln!(
             "warning: intra-fit descent scaling under the {fit_gate:.1}x gate ({fit_min:.2}x)"
         );
+        std::process::exit(1);
+    }
+    // GEM's cached-softmax trainer must beat the on-demand oracle by 2x on
+    // the quick-scale saw2018 and jeong2021 fits (1.5x in --quick mode for
+    // the usual CI-noise reason).
+    let gem_gate = if quick { 1.5 } else { 2.0 };
+    if gem_min < gem_gate {
+        eprintln!("warning: GEM trainer under the {gem_gate:.1}x gate ({gem_min:.2}x)");
         std::process::exit(1);
     }
     // The two-level core budget must not lose to cells-only parallelism

@@ -11,7 +11,9 @@
 //! run left under `--out-dir` (see `synrd_serve` for the protocol). The
 //! grid knobs (`--seeds`, `--scale`, ...) must match the run that
 //! populated the store — they determine the dataset digests and the fit
-//! fingerprint requests resolve against.
+//! fingerprint requests resolve against. A malformed or non-positive
+//! `--seeds`, `--bootstraps`, `--scale` or `--workers` exits 2 with a
+//! message, as `fig3`/`fig4` do, instead of serving a different grid.
 //!
 //! `bench-serve` measures the serve-path win and writes `BENCH_serve.json`:
 //! cold fit-and-sample versus warm serve-mode sampling from a cached fit.
@@ -52,23 +54,46 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// `flag`'s value as a positive integer; `Ok(None)` when the flag is absent.
+fn positive_knob(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let spec = args.get(i + 1).map_or("", String::as_str);
+    match spec.parse::<usize>() {
+        Ok(v) if v >= 1 => Ok(Some(v)),
+        _ => Err(format!("bad {flag} '{spec}': expected a positive integer")),
+    }
+}
+
 /// The grid knobs that change dataset digests / the fit fingerprint.
-fn config_from(args: &[String]) -> BenchmarkConfig {
+/// Malformed or non-positive values are errors, as in `fig3`/`fig4`.
+fn config_from(args: &[String]) -> Result<BenchmarkConfig, String> {
     let mut config = if args.iter().any(|a| a == "--paper-scale") {
         BenchmarkConfig::paper()
     } else {
         BenchmarkConfig::quick()
     };
-    if let Some(v) = flag_value(args, "--seeds").and_then(|v| v.parse().ok()) {
+    if let Some(v) = positive_knob(args, "--seeds")? {
         config.seeds = v;
     }
-    if let Some(v) = flag_value(args, "--bootstraps").and_then(|v| v.parse().ok()) {
+    if let Some(v) = positive_knob(args, "--bootstraps")? {
         config.bootstraps = v;
     }
-    if let Some(v) = flag_value(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.data_scale = v;
+    if let Some(i) = args.iter().position(|a| a == "--scale") {
+        let spec = args.get(i + 1).map_or("", String::as_str);
+        config.data_scale = match spec.parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => v,
+            _ => return Err(format!("bad --scale '{spec}': expected a positive number")),
+        };
     }
-    config
+    Ok(config)
+}
+
+/// `serve`'s grid configuration and worker count (default 4).
+fn serve_knobs(args: &[String]) -> Result<(BenchmarkConfig, usize), String> {
+    let workers = positive_knob(args, "--workers")?.unwrap_or(4);
+    Ok((config_from(args)?, workers))
 }
 
 fn cmd_serve(args: &[String]) {
@@ -76,6 +101,10 @@ fn cmd_serve(args: &[String]) {
         eprintln!("serve requires --out-dir (the grid run's result store)");
         std::process::exit(2);
     };
+    let (config, workers) = serve_knobs(args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
     // Intra-fit thread allowance for any fits the process performs
     // (bit-identical at any count; the `stats` response reports it).
     // `auto` keeps the default (`SYNRD_FIT_THREADS`, else sequential).
@@ -94,10 +123,7 @@ fn cmd_serve(args: &[String]) {
         }
     }
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let workers = flag_value(args, "--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let service = match FitService::open(&out_dir, config_from(args)) {
+    let service = match FitService::open(&out_dir, config) {
         Ok(service) => Arc::new(service),
         Err(e) => {
             eprintln!("cannot open fit cache {out_dir}: {e}");
@@ -235,5 +261,74 @@ fn cmd_bench_serve(args: &[String]) {
     if speedup < 5.0 {
         eprintln!("serve-mode warm sampling is below the 5x gate");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn accepts_a_full_serve_command_line() {
+        let (config, workers) = serve_knobs(&args(
+            "--out-dir d --addr 127.0.0.1:0 --workers 2 --seeds 1 --bootstraps 2 --scale 0.02",
+        ))
+        .unwrap();
+        assert_eq!(workers, 2);
+        assert_eq!(config.seeds, 1);
+        assert_eq!(config.bootstraps, 2);
+        assert_eq!(config.data_scale, 0.02);
+    }
+
+    #[test]
+    fn defaults_apply_when_knobs_are_absent() {
+        let (config, workers) = serve_knobs(&args("--out-dir d")).unwrap();
+        assert_eq!(workers, 4);
+        let quick = BenchmarkConfig::quick();
+        assert_eq!(config.seeds, quick.seeds);
+        assert_eq!(config.bootstraps, quick.bootstraps);
+        assert_eq!(config.data_scale, quick.data_scale);
+    }
+
+    #[test]
+    fn rejects_malformed_seeds() {
+        for line in ["--seeds x", "--seeds 0", "--seeds -1", "--seeds"] {
+            let err = serve_knobs(&args(line)).unwrap_err();
+            assert!(err.contains("--seeds"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_bootstraps() {
+        for line in ["--bootstraps x", "--bootstraps 0", "--bootstraps 1.5"] {
+            let err = serve_knobs(&args(line)).unwrap_err();
+            assert!(err.contains("--bootstraps"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_scale() {
+        for line in [
+            "--scale -1",
+            "--scale 0",
+            "--scale x",
+            "--scale NaN",
+            "--scale inf",
+        ] {
+            let err = serve_knobs(&args(line)).unwrap_err();
+            assert!(err.contains("--scale"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_malformed_workers() {
+        for line in ["--workers 0", "--workers x", "--workers -3", "--workers"] {
+            let err = serve_knobs(&args(line)).unwrap_err();
+            assert!(err.contains("--workers"), "{line}: {err}");
+        }
     }
 }

@@ -99,9 +99,12 @@ impl GemModel {
         }
     }
 
-    /// Per-component softmax probabilities for one attribute.
-    fn probs(&self, k: usize, attr: usize) -> Vec<f64> {
-        softmax(&self.logits[k][attr])
+    /// Every component×attribute softmax, shaped `[component][attribute][code]`.
+    fn all_probs(&self) -> Vec<Vec<Vec<f64>>> {
+        self.logits
+            .iter()
+            .map(|comp| comp.iter().map(|l| softmax(l)).collect())
+            .collect()
     }
 
     /// Export as plain serializable state.
@@ -156,6 +159,63 @@ impl GemModel {
             step,
         })
     }
+}
+
+fn softmax(logits: &[f64]) -> Vec<f64> {
+    let mut out = vec![0.0; logits.len()];
+    softmax_into(logits, &mut out);
+    out
+}
+
+/// [`softmax`] into a caller-owned buffer of the same length.
+fn softmax_into(logits: &[f64], out: &mut [f64]) {
+    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    for (o, l) in out.iter_mut().zip(logits) {
+        *o = (l - max).exp();
+    }
+    let total: f64 = out.iter().sum();
+    for o in out.iter_mut() {
+        *o /= total;
+    }
+}
+
+/// Mixture marginal over 1 or 2 attributes (probability space) from cached
+/// per-component probabilities, written into `out`. Components are summed
+/// in ascending order, each term divided by the mixture size, exactly as
+/// the on-demand `GemModel::marginal` does.
+fn marginal_into(probs: &[Vec<Vec<f64>>], attrs: &[usize], out: &mut [f64]) {
+    let kk = probs.len() as f64;
+    out.fill(0.0);
+    match attrs {
+        [a] => {
+            for comp in probs {
+                for (o, p) in out.iter_mut().zip(&comp[*a]) {
+                    *o += p / kk;
+                }
+            }
+        }
+        [a, b] => {
+            for comp in probs {
+                let pb = &comp[*b];
+                for (row, &x) in out.chunks_exact_mut(pb.len()).zip(&comp[*a]) {
+                    for (o, &y) in row.iter_mut().zip(pb) {
+                        *o += x * y / kk;
+                    }
+                }
+            }
+        }
+        _ => unreachable!("GEM measures only 1- and 2-way marginals"),
+    }
+}
+
+/// The retained on-demand softmax accessors, used only by the
+/// differential oracle [`train_naive`] and its round scoring.
+#[cfg(any(test, feature = "naive-reference"))]
+impl GemModel {
+    /// Per-component softmax probabilities for one attribute.
+    fn probs(&self, k: usize, attr: usize) -> Vec<f64> {
+        softmax(&self.logits[k][attr])
+    }
 
     /// Model marginal over 1 or 2 attributes (probability space).
     fn marginal(&self, attrs: &[usize]) -> Vec<f64> {
@@ -191,13 +251,6 @@ impl GemModel {
     }
 }
 
-fn softmax(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-    let total: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / total).collect()
-}
-
 /// The GEM synthesizer.
 #[derive(Debug, Clone, Default)]
 pub struct Gem {
@@ -213,14 +266,10 @@ impl Gem {
             fitted: None,
         }
     }
-}
 
-impl Synthesizer for Gem {
-    fn name(&self) -> &'static str {
-        "GEM"
-    }
-
-    fn fit_with(
+    /// The fit, generic over the numeric kernels: [`Cached`] in production,
+    /// the retained `Naive` oracle in differential tests.
+    fn fit_using<K: Kernels>(
         &mut self,
         data: &Dataset,
         privacy: Privacy,
@@ -256,14 +305,7 @@ impl Synthesizer for Gem {
             });
         }
         let mut model = GemModel::new(self.options.mixture, &shape, &mut rng);
-        train(
-            &mut model,
-            &measured,
-            n,
-            self.options.grad_steps,
-            self.options.learning_rate,
-            ctx.threads,
-        );
+        K::train(&mut model, &measured, &shape, n, &self.options, ctx.threads);
 
         // Adaptive rounds on the remaining 80%. Round 0 scores every pair,
         // so count the whole workload in one fused sweep up front.
@@ -282,25 +324,24 @@ impl Synthesizer for Gem {
             let (rho_select, rho_measure) = (rho_round / 2.0, rho_round / 2.0);
 
             // Score candidates by the generator's L1 error on true counts.
-            let mut cands: Vec<&Vec<usize>> = Vec::new();
-            let mut scores: Vec<f64> = Vec::new();
-            for q in &workload {
-                if chosen.contains(&q.attrs) {
-                    continue;
-                }
-                let true_counts = engine.count(&q.attrs)?;
-                let model_probs = model.marginal(&q.attrs);
+            let cands: Vec<&Vec<usize>> = workload
+                .iter()
+                .map(|q| &q.attrs)
+                .filter(|attrs| !chosen.contains(attrs))
+                .collect();
+            if cands.is_empty() {
+                break;
+            }
+            let mut scores: Vec<f64> = Vec::with_capacity(cands.len());
+            for (attrs, model_probs) in cands.iter().zip(K::marginals(&model, &shape, &cands)) {
+                let true_counts = engine.count(attrs)?;
                 let l1: f64 = true_counts
                     .counts()
                     .iter()
                     .zip(&model_probs)
                     .map(|(&c, &p)| (c - n * p).abs())
                     .sum();
-                cands.push(&q.attrs);
                 scores.push(l1);
-            }
-            if cands.is_empty() {
-                break;
             }
             accountant.spend(rho_select)?;
             let eps_select = exponential_epsilon(rho_select)?;
@@ -312,18 +353,47 @@ impl Synthesizer for Gem {
             let w = 1.0 / m.sigma.powi(2);
             measured.push((m, w));
             chosen.push(attrs);
-            train(
-                &mut model,
-                &measured,
-                n,
-                self.options.grad_steps,
-                self.options.learning_rate,
-                ctx.threads,
-            );
+            K::train(&mut model, &measured, &shape, n, &self.options, ctx.threads);
         }
 
         self.fitted = Some((data.domain().clone(), model));
         Ok(())
+    }
+}
+
+/// The retained differential oracle: the trainer and round scoring that
+/// recompute every softmax on demand.
+#[cfg(any(test, feature = "naive-reference"))]
+impl Gem {
+    /// [`Synthesizer::fit_with`] through `train_naive` and on-demand
+    /// marginal scoring. Bit-identical to `fit_with`; kept as its oracle.
+    ///
+    /// # Errors
+    /// As [`Synthesizer::fit_with`].
+    pub fn fit_naive(
+        &mut self,
+        data: &Dataset,
+        privacy: Privacy,
+        seed: u64,
+        ctx: FitContext,
+    ) -> Result<()> {
+        self.fit_using::<Naive>(data, privacy, seed, ctx)
+    }
+}
+
+impl Synthesizer for Gem {
+    fn name(&self) -> &'static str {
+        "GEM"
+    }
+
+    fn fit_with(
+        &mut self,
+        data: &Dataset,
+        privacy: Privacy,
+        seed: u64,
+        ctx: FitContext,
+    ) -> Result<()> {
+        self.fit_using::<Cached>(data, privacy, seed, ctx)
     }
 
     fn sample(&self, n: usize, seed: u64) -> Result<Dataset> {
@@ -331,7 +401,7 @@ impl Synthesizer for Gem {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "gem-sample"));
         let d = domain.len();
         let kk = model.logits.len();
-        let cums = cumulative_tables(model, d);
+        let cums = cumulative_tables(model);
         // Pre-draw the mixture-component pick and the per-attribute
         // uniforms of every row in the exact row-major order the per-row
         // sampler consumed them, so the node-major pass below is
@@ -396,21 +466,14 @@ impl Synthesizer for Gem {
 
 /// Per-component, per-attribute cumulative probability tables (unnormalized
 /// tails exactly as the per-row sampler accumulated them).
-fn cumulative_tables(model: &GemModel, d: usize) -> Vec<Vec<Vec<f64>>> {
-    let kk = model.logits.len();
-    let mut cums: Vec<Vec<Vec<f64>>> = Vec::with_capacity(kk);
-    for k in 0..kk {
-        let mut per_attr = Vec::with_capacity(d);
-        for a in 0..d {
-            let mut c = model.probs(k, a);
-            let mut acc = 0.0;
-            for v in c.iter_mut() {
-                acc += *v;
-                *v = acc;
-            }
-            per_attr.push(c);
+fn cumulative_tables(model: &GemModel) -> Vec<Vec<Vec<f64>>> {
+    let mut cums = model.all_probs();
+    for c in cums.iter_mut().flatten() {
+        let mut acc = 0.0;
+        for v in c.iter_mut() {
+            acc += *v;
+            *v = acc;
         }
-        cums.push(per_attr);
     }
     cums
 }
@@ -424,7 +487,7 @@ impl Gem {
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, "gem-sample"));
         let d = domain.len();
         let kk = model.logits.len();
-        let cums = cumulative_tables(model, d);
+        let cums = cumulative_tables(model);
         let mut columns = vec![vec![0u32; n]; d];
         for r in 0..n {
             let k = rng.gen_range(0..kk);
@@ -437,15 +500,257 @@ impl Gem {
     }
 }
 
+/// The numeric kernels of a fit: the trainer and the model marginals the
+/// round scoring compares against true counts.
+trait Kernels {
+    /// Adam on the mixture logits against all measurements so far.
+    fn train(
+        model: &mut GemModel,
+        measured: &[(NoisyMeasurement, f64)],
+        shape: &[usize],
+        n: f64,
+        options: &GemOptions,
+        threads: usize,
+    );
+
+    /// The model marginal of every candidate, in order.
+    fn marginals(model: &GemModel, shape: &[usize], candidates: &[&Vec<usize>]) -> Vec<Vec<f64>>;
+}
+
+/// Production kernels: every softmax computed once per step (or round).
+struct Cached;
+
+impl Kernels for Cached {
+    fn train(
+        model: &mut GemModel,
+        measured: &[(NoisyMeasurement, f64)],
+        shape: &[usize],
+        n: f64,
+        options: &GemOptions,
+        threads: usize,
+    ) {
+        train(model, measured, shape, n, options, threads);
+    }
+
+    fn marginals(model: &GemModel, shape: &[usize], candidates: &[&Vec<usize>]) -> Vec<Vec<f64>> {
+        let probs = model.all_probs();
+        candidates
+            .iter()
+            .map(|attrs| {
+                let cells = attrs.iter().map(|&a| shape[a]).product();
+                let mut out = vec![0.0; cells];
+                marginal_into(&probs, attrs, &mut out);
+                out
+            })
+            .collect()
+    }
+}
+
+/// Oracle kernels: [`train_naive`] and on-demand `GemModel::marginal`.
+#[cfg(any(test, feature = "naive-reference"))]
+struct Naive;
+
+#[cfg(any(test, feature = "naive-reference"))]
+impl Kernels for Naive {
+    fn train(
+        model: &mut GemModel,
+        measured: &[(NoisyMeasurement, f64)],
+        _shape: &[usize],
+        n: f64,
+        options: &GemOptions,
+        threads: usize,
+    ) {
+        train_naive(
+            model,
+            measured,
+            n,
+            options.grad_steps,
+            options.learning_rate,
+            threads,
+        );
+    }
+
+    fn marginals(model: &GemModel, _shape: &[usize], candidates: &[&Vec<usize>]) -> Vec<Vec<f64>> {
+        candidates
+            .iter()
+            .map(|attrs| model.marginal(attrs))
+            .collect()
+    }
+}
+
+/// One component's `[attribute][code]` tensors, the unit of a training
+/// step's parallel region: logits, Adam moments `m` and `v`, the gradient
+/// scratch and the cached softmax.
+type ComponentJob<'a> = (
+    &'a mut Vec<Vec<f64>>,
+    &'a mut Vec<Vec<f64>>,
+    &'a mut Vec<Vec<f64>>,
+    &'a mut Vec<Vec<f64>>,
+    &'a mut Vec<Vec<f64>>,
+);
+
 /// Adam on the mixture logits against all measurements so far.
 ///
-/// The trainer is analytic (no GEMM): each step accumulates per-component
-/// probability-space gradients, chains them through the softmax and takes
-/// one Adam step. Both phases decompose over mixture components — every
-/// component owns disjoint `grad_p[k]` / `logits[k]` / moment slices, and
-/// each cell's accumulation stays in ascending measurement order — so the
-/// fan-out over components is **bit-identical at any thread count**.
+/// The trainer is analytic (no GEMM). Each step:
+///
+/// 1. reads the cached softmax of every component×attribute — computed once
+///    before the first step and refreshed by each component's own update,
+///    so every softmax is computed exactly once per step;
+/// 2. builds each measurement's mixture marginal from those probabilities
+///    and turns it in place into the residual `2.0 * w * (m - t)`, hoisted
+///    out of the per-component loop because it does not depend on the
+///    component;
+/// 3. runs one parallel region with one job per component: accumulate the
+///    probability-space gradient (`residual / kf` for 1-way measurements,
+///    `Σ residual * p` then `/ kf` for pairs), chain it through the cached
+///    softmax, take the Adam step, then refresh that component's softmax.
+///
+/// A component's job reads only the shared pre-step residuals and its own
+/// slices, and every cell accumulates in ascending measurement (and code)
+/// order, so the trainer is **bit-identical at any thread count** and to
+/// `train_naive`. That identity rests on keeping the float expressions
+/// exactly as the oracle wrote them: the hoisted factor is `2.0 * w * (m -
+/// t)`, then `* p` or `/ kf` is applied to it — never reassociate them (no
+/// `2.0 * w / kf`, no folding `/ kf` into the residual).
 fn train(
+    model: &mut GemModel,
+    measured: &[(NoisyMeasurement, f64)],
+    shape: &[usize],
+    n: f64,
+    options: &GemOptions,
+    threads: usize,
+) {
+    let (steps, lr) = (options.grad_steps, options.learning_rate);
+    let kk = model.logits.len();
+    let kf = kk as f64;
+    let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8f64);
+    // Normalize weights so the learning rate is scale-free.
+    let wsum: f64 = measured.iter().map(|(_, w)| *w).sum::<f64>().max(1e-12);
+    // Measurement weights and proportion targets are step-invariant.
+    let prepared: Vec<(&[usize], f64, Vec<f64>)> = measured
+        .iter()
+        .map(|(meas, w)| {
+            let target = meas.values.iter().map(|v| v / n).collect();
+            (meas.attrs.as_slice(), w / wsum, target)
+        })
+        .collect();
+    // Per-step buffers, allocated once: each measurement's residual, each
+    // component's probability-space gradient, and the cached softmaxes.
+    let mut residuals: Vec<Vec<f64>> = prepared
+        .iter()
+        .map(|(_, _, target)| vec![0.0; target.len()])
+        .collect();
+    let zeros: Vec<Vec<f64>> = shape.iter().map(|&c| vec![0.0; c]).collect();
+    let mut grad_p = vec![zeros; kk];
+    let mut probs = model.all_probs();
+    let max_card = shape.iter().copied().max().unwrap_or(0);
+    let threads = threads.clamp(1, kk);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("gem thread pool");
+
+    for _ in 0..steps {
+        model.step += 1;
+        let t = model.step as f64;
+        // Adam bias-correction scalars hoisted to once per step; `powf` is
+        // deterministic, so dividing by the precomputed corrections is
+        // bit-identical to recomputing them per parameter.
+        let bc1 = 1.0 - b1.powf(t);
+        let bc2 = 1.0 - b2.powf(t);
+
+        // Residuals against the pre-step mixture, shared by every component.
+        for ((attrs, w, target), r) in prepared.iter().zip(residuals.iter_mut()) {
+            marginal_into(&probs, attrs, r);
+            for (r, t) in r.iter_mut().zip(target) {
+                *r = 2.0 * w * (*r - t);
+            }
+        }
+
+        let prepared = &prepared;
+        let residuals = &residuals;
+        let step_component = |(logits_k, m_k, v_k, grad_k, probs_k): ComponentJob| {
+            // Gradient wrt probabilities, measurements in ascending order.
+            for g in grad_k.iter_mut() {
+                g.fill(0.0);
+            }
+            let mut col_acc = vec![0.0; max_card];
+            for ((attrs, _, _), r) in prepared.iter().zip(residuals) {
+                match **attrs {
+                    [a] => {
+                        for (g, &res) in grad_k[a].iter_mut().zip(r) {
+                            *g += res / kf;
+                        }
+                    }
+                    [a, b] => {
+                        let (pa, pb) = (&probs_k[a], &probs_k[b]);
+                        let col_acc = &mut col_acc[..shape[b]];
+                        col_acc.fill(0.0);
+                        // One row-major pass: the row sum for `a`'s code i
+                        // runs over j ascending, and each column sum for
+                        // `b`'s code j over i ascending, as in the oracle.
+                        for ((ga, row), &pai) in
+                            grad_k[a].iter_mut().zip(r.chunks_exact(shape[b])).zip(pa)
+                        {
+                            let mut acc = 0.0;
+                            for ((&res, &pbj), cj) in row.iter().zip(pb).zip(col_acc.iter_mut()) {
+                                acc += res * pbj;
+                                *cj += res * pai;
+                            }
+                            *ga += acc / kf;
+                        }
+                        for (gb, &cj) in grad_k[b].iter_mut().zip(col_acc.iter()) {
+                            *gb += cj / kf;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            // Chain through the (pre-step) softmax, take the Adam step, then
+            // refresh this component's softmax for the next step.
+            for (((logits_a, p), gp), (m_a, v_a)) in logits_k
+                .iter_mut()
+                .zip(probs_k.iter_mut())
+                .zip(grad_k.iter())
+                .zip(m_k.iter_mut().zip(v_k.iter_mut()))
+            {
+                let dot: f64 = p.iter().zip(gp).map(|(x, y)| x * y).sum();
+                for u in 0..p.len() {
+                    let g = p[u] * (gp[u] - dot);
+                    let m = &mut m_a[u];
+                    let v = &mut v_a[u];
+                    *m = b1 * *m + (1.0 - b1) * g;
+                    *v = b2 * *v + (1.0 - b2) * g * g;
+                    let mhat = *m / bc1;
+                    let vhat = *v / bc2;
+                    logits_a[u] -= lr * mhat / (vhat.sqrt() + eps);
+                }
+                softmax_into(logits_a, p);
+            }
+        };
+        let jobs = model
+            .logits
+            .iter_mut()
+            .zip(model.m.iter_mut())
+            .zip(model.v.iter_mut())
+            .zip(grad_p.iter_mut())
+            .zip(probs.iter_mut())
+            .map(|((((l, m), v), g), p)| (l, m, v, g, p));
+        if threads > 1 {
+            let jobs: Vec<_> = jobs.collect();
+            pool.install(|| jobs.into_par_iter().for_each(step_component));
+        } else {
+            jobs.for_each(step_component);
+        }
+    }
+}
+
+/// The original trainer, retained as the differential oracle for
+/// [`train`]: it recomputes every softmax on demand (each measurement's
+/// marginal, each component's pair gradient, the Adam step) and runs the
+/// gradient and Adam phases as two parallel regions per step.
+#[cfg(any(test, feature = "naive-reference"))]
+fn train_naive(
     model: &mut GemModel,
     measured: &[(NoisyMeasurement, f64)],
     n: f64,
@@ -608,6 +913,13 @@ mod tests {
     use rand::Rng;
     use synrd_data::Attribute;
 
+    fn gem_state(synth: &Gem) -> GemState {
+        match synth.fitted_state() {
+            Some(FittedState::Gem { model, .. }) => model,
+            other => panic!("expected gem state, got {other:?}"),
+        }
+    }
+
     fn correlated(n: usize) -> Dataset {
         let domain = Domain::new(vec![Attribute::binary("x"), Attribute::ordinal("y", 3)]);
         let mut rng = StdRng::seed_from_u64(6);
@@ -673,10 +985,6 @@ mod tests {
             grad_steps: 25,
             learning_rate: 0.1,
         };
-        let gem_state = |synth: &Gem| match synth.fitted_state() {
-            Some(FittedState::Gem { model, .. }) => model,
-            other => panic!("expected gem state, got {other:?}"),
-        };
         let mut base = Gem::with_options(opts);
         base.fit_with(
             &data,
@@ -702,6 +1010,67 @@ mod tests {
                 base_sample,
                 "threads = {threads}"
             );
+        }
+    }
+
+    /// Four attributes of cardinalities 2, 3, 5 and 7, each code drawn
+    /// near the previous attribute's so every pair carries structure.
+    fn mixed(n: usize) -> Dataset {
+        let cards = [2usize, 3, 5, 7];
+        let domain = Domain::new(
+            cards
+                .iter()
+                .enumerate()
+                .map(|(a, &c)| Attribute::ordinal(format!("a{a}"), c))
+                .collect(),
+        );
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut ds = Dataset::with_capacity(domain, n);
+        for _ in 0..n {
+            let mut row = [0u32; 4];
+            for (a, &c) in cards.iter().enumerate() {
+                let prev = if a == 0 { 0 } else { row[a - 1] as usize };
+                row[a] = ((prev + rng.gen_range(0..2usize)) % c) as u32;
+            }
+            ds.push_row(&row).unwrap();
+        }
+        ds
+    }
+
+    #[test]
+    fn cached_trainer_matches_naive_oracle() {
+        let data = mixed(900);
+        let privacy = Privacy::zcdp(1.0).unwrap();
+        let cases = [
+            ("1-way only", 6usize, 0usize),
+            ("adaptive rounds", 8, 4),
+            ("single component", 1, 3),
+            ("fewer components than threads", 3, 3),
+        ];
+        for (label, mixture, rounds) in cases {
+            let opts = GemOptions {
+                mixture,
+                rounds,
+                grad_steps: 15,
+                learning_rate: 0.1,
+            };
+            for threads in [1usize, 2, 3, 7] {
+                let ctx = FitContext::with_threads(threads);
+                let mut cached = Gem::with_options(opts);
+                cached.fit_with(&data, privacy, 21, ctx).unwrap();
+                let mut naive = Gem::with_options(opts);
+                naive.fit_naive(&data, privacy, 21, ctx).unwrap();
+                assert_eq!(
+                    gem_state(&cached),
+                    gem_state(&naive),
+                    "{label}, threads = {threads}"
+                );
+                assert_eq!(
+                    cached.sample(500, 2).unwrap(),
+                    naive.sample(500, 2).unwrap(),
+                    "{label}, threads = {threads}"
+                );
+            }
         }
     }
 
