@@ -2,8 +2,9 @@
 //! algebra), `BENCH_marginal.json` (marginal-counting engine),
 //! `BENCH_sampling.json` (row-generation engine), `BENCH_dataset.json`
 //! (bit-packed columnar storage), `BENCH_ml.json` (batched MLP kernels
-//! and the jeong2021 random-forest fit) and `BENCH_fit.json` (intra-fit
-//! parallelism and GEM's trainer).
+//! and the jeong2021 random-forest fit), `BENCH_fit.json` (intra-fit
+//! parallelism and GEM's trainer) and `BENCH_eval.json` (finding
+//! evaluation: subgroup row views and the logistic IRLS kernels).
 //!
 //! Times a small fixed grid of calibration problems through both factor
 //! algebras — the stride kernels that power production and the retained
@@ -23,7 +24,7 @@
 //! ```text
 //! cargo run --release -p synrd-bench --bin perfgrid \
 //!     [--quick] [--out PATH] [--marginal-out PATH] [--sampling-out PATH] \
-//!     [--dataset-out PATH] [--ml-out PATH] [--fit-out PATH]
+//!     [--dataset-out PATH] [--ml-out PATH] [--fit-out PATH] [--eval-out PATH]
 //! ```
 //!
 //! `--quick` shrinks repetitions for CI smoke runs; the JSON schemas are
@@ -1037,6 +1038,219 @@ fn fit_section(quick: bool, out_path: &str) -> (f64, f64, f64) {
     (fit_min, grid_ratio, gem_min)
 }
 
+/// saw2018's 15 finding statistics (ids 90–104, in order) computed the
+/// way they were before the row view: every subgroup is a
+/// `Dataset::filter_rows` copy. The oracle for [`eval_section`].
+fn saw2018_filter_rows(ds: &synrd_data::Dataset) -> Vec<Vec<f64>> {
+    use synrd_data::RowRef;
+    let idx = |name: &str| ds.domain().index_of(name).expect("saw2018 attribute");
+    let (sex, ses, race, math) = (idx("sex"), idx("ses"), idx("race"), idx("math9"));
+    let (asp9, asp11) = (idx("stem_asp_9"), idx("stem_asp_11"));
+    // P(target = 1) over the rows `keep` selects; NaN for none.
+    let rate = |target: usize, keep: &dyn Fn(RowRef<'_>) -> bool| -> f64 {
+        let sub = ds.filter_rows(keep);
+        if sub.is_empty() {
+            return f64::NAN;
+        }
+        sub.proportion(target, 1).expect("proportion")
+    };
+    let p9 = |keep: &dyn Fn(RowRef<'_>) -> bool| rate(asp9, keep);
+    let p11 = |keep: &dyn Fn(RowRef<'_>) -> bool| rate(asp11, keep);
+    let transition = |a9: u32, s: u32| p11(&|r| r.get(asp9) == a9 && r.get(ses) == s);
+    let whole = |attr: usize| ds.proportion(attr, 1).expect("proportion");
+    let numeric = |name: &str| ds.numeric_column(idx(name)).expect("numeric column");
+    vec![
+        vec![p9(&|r| r.get(sex) == 0), p9(&|r| r.get(sex) == 1)],
+        vec![p9(&|r| r.get(sex) == 0) - p9(&|r| r.get(sex) == 1)],
+        vec![p9(&|r| r.get(ses) == 3), p9(&|r| r.get(ses) == 0)],
+        vec![p11(&|r| r.get(asp9) == 1), p11(&|r| r.get(asp9) == 0)],
+        vec![whole(asp9), whole(asp11)],
+        vec![
+            p11(&|r| r.get(asp9) == 1 && r.get(sex) == 0),
+            p11(&|r| r.get(asp9) == 1 && r.get(sex) == 1),
+        ],
+        vec![
+            transition(1, 0),
+            transition(1, 1),
+            transition(1, 3),
+            transition(0, 0),
+            transition(0, 1),
+            transition(0, 3),
+        ],
+        vec![transition(0, 3), transition(0, 0)],
+        vec![p9(&|r| r.get(race) == 3), p9(&|r| r.get(race) == 0)],
+        vec![p9(&|r| r.get(race) == 0), p9(&|r| r.get(race) == 1)],
+        vec![
+            p11(&|r| r.get(asp9) == 1 && r.get(math) >= 9),
+            p11(&|r| r.get(asp9) == 1 && r.get(math) < 5),
+        ],
+        vec![
+            p9(&|r| r.get(sex) == 0 && r.get(race) == 0 && r.get(ses) == 3),
+            p9(&|r| r.get(sex) == 0 && (r.get(race) == 1 || r.get(race) == 2) && r.get(ses) <= 1),
+        ],
+        vec![
+            p11(&|r| r.get(asp9) == 0 && r.get(sex) == 0),
+            p11(&|r| r.get(asp9) == 0 && r.get(sex) == 1),
+        ],
+        vec![synrd_stats::pearson(&numeric("ses"), &numeric("parent_edu")).expect("pearson")],
+        vec![whole(asp9)],
+    ]
+}
+
+/// Finding evaluation, the per-draw cost of the paper's measure: saw2018's
+/// 15 findings on one quick-scale draw (a seeded bootstrap resample of the
+/// quick-scale dataset) through the `Subset` row view vs the
+/// `filter_rows` oracle ([`saw2018_filter_rows`]), and jeong2021's
+/// logistic fit on the pipeline's training split
+/// (`synrd::papers::jeong2021::logistic_split`) through the four-row
+/// blocked Gram and factor-once inverse vs the row-at-a-time Gram and
+/// per-column inverse (`logistic_naive`), plus the Gram alone.
+/// Bit-identity is asserted before timing. Writes `BENCH_eval.json`;
+/// returns (saw2018 view speedup, logistic fit speedup).
+fn eval_section(quick: bool, out_path: &str) -> (f64, f64) {
+    use synrd::benchmark::BenchmarkConfig;
+    use synrd::papers::jeong2021::logistic_split;
+    use synrd::publication_by_id;
+    use synrd_stats::{logistic, logistic::logistic_naive, LogisticOptions};
+
+    let config = BenchmarkConfig::quick();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let reps = if quick { 51 } else { 301 };
+    let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let saw = publication_by_id("saw2018").expect("registered paper");
+    let n = config.rows_for(saw.dataset().paper_n());
+    let real = saw.generate(n, config.data_seed);
+    let draw = real.bootstrap_sample(n, &mut StdRng::seed_from_u64(1));
+    let findings = saw.findings();
+    let evaluate = || -> Vec<Vec<f64>> {
+        findings
+            .iter()
+            .map(|f| f.evaluate(&draw).expect("saw2018 finding"))
+            .collect()
+    };
+    let view = evaluate();
+    let oracle = saw2018_filter_rows(&draw);
+    assert_eq!(view.len(), oracle.len(), "saw2018: finding count");
+    for ((f, a), b) in findings.iter().zip(&view).zip(&oracle) {
+        assert_eq!(
+            to_bits(a),
+            to_bits(b),
+            "saw2018 #{}: view != filter_rows",
+            f.id
+        );
+    }
+    let view_ns = median_ns(reps, || {
+        black_box(evaluate());
+    });
+    let oracle_ns = median_ns(reps, || {
+        black_box(saw2018_filter_rows(&draw));
+    });
+    let view_speedup = oracle_ns / view_ns;
+    println!(
+        "eval       {:<14} view {view_ns:>10.0} ns   filter_rows {oracle_ns:>10.0} ns   speedup {view_speedup:>5.2}x   \
+         ({n} rows, {} findings, nproc {nproc})",
+        "saw2018",
+        findings.len()
+    );
+    let saw_row = JsonValue::obj(vec![
+        ("name", JsonValue::Str("saw2018-findings".to_string())),
+        ("rows", JsonValue::Uint(n as u64)),
+        ("findings", JsonValue::Uint(findings.len() as u64)),
+        ("view_ns", JsonValue::Num(view_ns)),
+        ("filter_rows_ns", JsonValue::Num(oracle_ns)),
+        ("speedup", JsonValue::Num(view_speedup)),
+        ("bit_identical", JsonValue::Bool(true)),
+        ("nproc", JsonValue::Uint(nproc as u64)),
+    ]);
+
+    let jeong = publication_by_id("jeong2021").expect("registered paper");
+    let ds = jeong.generate(config.rows_for(jeong.dataset().paper_n()), config.data_seed);
+    let split = logistic_split(&ds).expect("jeong2021 logistic split");
+    let (x, y) = (&split.x_train, &split.y_train);
+    let options = LogisticOptions::default();
+    let fit = logistic(x, y, options).expect("logistic fit");
+    let naive = logistic_naive(x, y, options).expect("logistic fit");
+    assert_eq!(
+        (to_bits(&fit.coefficients), to_bits(&fit.std_errors)),
+        (to_bits(&naive.coefficients), to_bits(&naive.std_errors)),
+        "jeong2021: blocked logistic fit != naive kernels"
+    );
+    let fit_reps = if quick { 7 } else { 31 };
+    let fit_ns = median_ns(fit_reps, || {
+        black_box(logistic(x, y, options).expect("logistic fit"));
+    });
+    let naive_fit_ns = median_ns(fit_reps, || {
+        black_box(logistic_naive(x, y, options).expect("logistic fit"));
+    });
+    let fit_speedup = naive_fit_ns / fit_ns;
+    // The Gram alone, at the final IRLS weights of the fit above.
+    let weights: Vec<f64> = fit
+        .predict_proba(x)
+        .expect("predict")
+        .iter()
+        .map(|m| (m * (1.0 - m)).max(1e-10))
+        .collect();
+    let gram_bits = |g: synrd_stats::Matrix| -> Vec<u64> {
+        (0..g.n_rows()).flat_map(|r| to_bits(g.row(r))).collect()
+    };
+    assert_eq!(
+        gram_bits(x.gram(Some(&weights)).expect("gram")),
+        gram_bits(x.gram_naive(Some(&weights)).expect("gram")),
+        "jeong2021: blocked Gram != naive"
+    );
+    let gram_ns = median_ns(reps, || {
+        black_box(x.gram(Some(&weights)).expect("gram"));
+    });
+    let naive_gram_ns = median_ns(reps, || {
+        black_box(x.gram_naive(Some(&weights)).expect("gram"));
+    });
+    let gram_speedup = naive_gram_ns / gram_ns;
+    println!(
+        "eval       {:<14} fit {fit_ns:>11.0} ns   naive {naive_fit_ns:>11.0} ns   speedup {fit_speedup:>5.2}x   \
+         gram {gram_speedup:>5.2}x   ({} x {}, {} IRLS iterations, nproc {nproc})",
+        "jeong2021-lr",
+        x.n_rows(),
+        x.n_cols(),
+        fit.iterations
+    );
+    let jeong_row = JsonValue::obj(vec![
+        ("name", JsonValue::Str("jeong2021-logistic".to_string())),
+        ("rows", JsonValue::Uint(x.n_rows() as u64)),
+        ("columns", JsonValue::Uint(x.n_cols() as u64)),
+        ("iterations", JsonValue::Uint(fit.iterations as u64)),
+        ("fit_ns", JsonValue::Num(fit_ns)),
+        ("naive_fit_ns", JsonValue::Num(naive_fit_ns)),
+        ("fit_speedup", JsonValue::Num(fit_speedup)),
+        ("gram_ns", JsonValue::Num(gram_ns)),
+        ("naive_gram_ns", JsonValue::Num(naive_gram_ns)),
+        ("gram_speedup", JsonValue::Num(gram_speedup)),
+        ("bit_identical", JsonValue::Bool(true)),
+        ("nproc", JsonValue::Uint(nproc as u64)),
+    ]);
+
+    let doc = JsonValue::obj(vec![
+        ("schema", JsonValue::Str("synrd-bench-eval/1".to_string())),
+        (
+            "mode",
+            JsonValue::Str(if quick { "quick" } else { "full" }.to_string()),
+        ),
+        ("benches", JsonValue::Arr(vec![saw_row, jeong_row])),
+        (
+            "summary",
+            JsonValue::obj(vec![
+                ("saw2018_view_speedup", JsonValue::Num(view_speedup)),
+                ("jeong2021_logistic_speedup", JsonValue::Num(fit_speedup)),
+            ]),
+        ),
+    ]);
+    std::fs::write(out_path, format!("{}\n", doc.to_text())).expect("write BENCH_eval.json");
+    println!(
+        "wrote {out_path} (saw2018 view {view_speedup:.2}x, jeong2021 logistic {fit_speedup:.2}x)"
+    );
+    (view_speedup, fit_speedup)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -1076,6 +1290,12 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_fit.json".to_string());
+    let eval_out = args
+        .iter()
+        .position(|a| a == "--eval-out")
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .unwrap_or_else(|| "BENCH_eval.json".to_string());
     let reps = if quick { 7 } else { 31 };
 
     // --- Kernel grid: stride vs naive calibration -------------------------
@@ -1221,6 +1441,9 @@ fn main() {
     // --- Intra-fit parallelism, core-budget grid and GEM's trainer ---------
     let (fit_min, grid_ratio, gem_min) = fit_section(quick, &fit_out);
 
+    // --- Finding evaluation: row views and the IRLS kernels ----------------
+    let (view_speedup, logistic_speedup) = eval_section(quick, &eval_out);
+
     if min_speedup < 1.0 {
         eprintln!("warning: stride kernels slower than naive on some problem");
         std::process::exit(1);
@@ -1314,6 +1537,22 @@ fn main() {
     let gem_gate = if quick { 1.5 } else { 2.0 };
     if gem_min < gem_gate {
         eprintln!("warning: GEM trainer under the {gem_gate:.1}x gate ({gem_min:.2}x)");
+        std::process::exit(1);
+    }
+    // Finding evaluation: the saw2018 row view must beat the filter_rows
+    // copies by 3x and the jeong2021 logistic fit its row-at-a-time
+    // kernels by 1.3x (2x and 1.15x in --quick mode for the usual CI-noise
+    // reason).
+    let (view_gate, logistic_gate) = if quick { (2.0, 1.15) } else { (3.0, 1.3) };
+    if view_speedup < view_gate {
+        eprintln!("warning: saw2018 row view under the {view_gate:.1}x gate ({view_speedup:.2}x)");
+        std::process::exit(1);
+    }
+    if logistic_speedup < logistic_gate {
+        eprintln!(
+            "warning: jeong2021 logistic fit under the {logistic_gate:.2}x gate \
+             ({logistic_speedup:.2}x)"
+        );
         std::process::exit(1);
     }
     // The two-level core budget must not lose to cells-only parallelism

@@ -81,8 +81,7 @@ impl Publication for Assari2019 {
                     // Multivariable model within the Black subsample, as in
                     // the paper's race-specific analysis: obesity coefficient
                     // adjusted for age and smoking.
-                    let race = ds.domain().index_of("race")?;
-                    let black = ds.filter_rows(move |r| r.get(race) == 1);
+                    let black = rows_where(ds, "race", |c| c == 1)?;
                     if black.n_rows() < 50 {
                         return Ok(vec![f64::NAN]);
                     }
@@ -97,14 +96,8 @@ impl Publication for Assari2019 {
                 FT::CoefficientDifference,
                 Check::Order,
                 Box::new(|ds| {
-                    let black = ds.filter_rows({
-                        let idx = ds.domain().index_of("race")?;
-                        move |r| r.get(idx) == 1
-                    });
-                    let white = ds.filter_rows({
-                        let idx = ds.domain().index_of("race")?;
-                        move |r| r.get(idx) == 0
-                    });
+                    let black = rows_where(ds, "race", |c| c == 1)?;
+                    let white = rows_where(ds, "race", |c| c == 0)?;
                     Ok(vec![
                         log_odds_ratio(&black, "obesity", "cerebro_death")?,
                         log_odds_ratio(&white, "obesity", "cerebro_death")?,
@@ -117,16 +110,12 @@ impl Publication for Assari2019 {
                 FT::MeanDifferenceBetweenClass,
                 Check::Order,
                 Box::new(|ds| {
-                    let age = ds.domain().index_of("age")?;
-                    let older = ds.filter_rows(move |r| r.get(age) >= 11);
-                    let younger = ds.filter_rows(move |r| r.get(age) < 6);
-                    let d = |x: &synrd_data::Dataset| -> crate::error::Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        prop(x, "cerebro_death", 1)
-                    };
-                    Ok(vec![d(&older)?, d(&younger)?])
+                    let older = rows_where(ds, "age", |c| c >= 11)?;
+                    let younger = rows_where(ds, "age", |c| c < 6)?;
+                    Ok(vec![
+                        prop(&older, "cerebro_death", 1)?,
+                        prop(&younger, "cerebro_death", 1)?,
+                    ])
                 }),
             ),
             Finding::new(
@@ -203,16 +192,12 @@ impl Publication for Assari2019 {
                 FT::MeanDifferenceBetweenClass,
                 Check::Order,
                 Box::new(|ds| {
-                    let chronic = ds.domain().index_of("chronic_conditions")?;
-                    let many = ds.filter_rows(move |r| r.get(chronic) >= 2);
-                    let few = ds.filter_rows(move |r| r.get(chronic) < 2);
-                    let d = |x: &synrd_data::Dataset| -> crate::error::Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        prop(x, "depression", 1)
-                    };
-                    Ok(vec![d(&many)?, d(&few)?])
+                    let many = rows_where(ds, "chronic_conditions", |c| c >= 2)?;
+                    let few = rows_where(ds, "chronic_conditions", |c| c < 2)?;
+                    Ok(vec![
+                        prop(&many, "depression", 1)?,
+                        prop(&few, "depression", 1)?,
+                    ])
                 }),
             ),
             Finding::new(

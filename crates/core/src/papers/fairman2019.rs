@@ -23,24 +23,16 @@ const OTHER: u32 = 4;
 /// Proportion using `substance` first within a year-quarter window
 /// (year codes 0..16 split into 4 quarters).
 fn first_rate_in_quarter(ds: &Dataset, substance: u32, quarter: u32) -> Result<f64> {
-    let year = ds.domain().index_of("year")?;
     let lo = quarter * 4;
     let hi = lo + 4;
-    let sub = ds.filter_rows(move |r| {
-        let y = r.get(year);
-        y >= lo && y < hi
-    });
-    if sub.is_empty() {
-        return Ok(f64::NAN);
-    }
+    let sub = rows_where(ds, "year", |y| y >= lo && y < hi)?;
     prop(&sub, "first_substance", substance)
 }
 
 /// Rate of severe outcomes (severity code >= 5) among rows whose first
 /// substance is `substance`.
 fn severe_rate(ds: &Dataset, substance: u32) -> Result<f64> {
-    let first = ds.domain().index_of("first_substance")?;
-    let sub = ds.filter_rows(move |r| r.get(first) == substance);
+    let sub = rows_where(ds, "first_substance", |c| c == substance)?;
     if sub.is_empty() {
         return Ok(f64::NAN);
     }
@@ -184,16 +176,12 @@ impl Publication for Fairman2019 {
                 FT::MeanDifferenceBetweenClass,
                 Check::Order,
                 Box::new(|ds| {
-                    let age = ds.domain().index_of("age")?;
-                    let older = ds.filter_rows(move |r| r.get(age) >= 8);
-                    let younger = ds.filter_rows(move |r| r.get(age) < 4);
-                    let p = |x: &Dataset| -> Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        prop(x, "first_substance", MJ)
-                    };
-                    Ok(vec![p(&older)?, p(&younger)?])
+                    let older = rows_where(ds, "age", |c| c >= 8)?;
+                    let younger = rows_where(ds, "age", |c| c < 4)?;
+                    Ok(vec![
+                        prop(&older, "first_substance", MJ)?,
+                        prop(&younger, "first_substance", MJ)?,
+                    ])
                 }),
             ),
             Finding::new(
@@ -203,11 +191,9 @@ impl Publication for Fairman2019 {
                 Check::Order,
                 Box::new(|ds| {
                     let age = ds.domain().index_of("age")?;
-                    let first = ds.domain().index_of("first_substance")?;
                     let rate = |lo: u32, hi: u32| -> Result<f64> {
-                        let sub = ds.filter_rows(move |r| {
-                            r.get(first) == MJ && r.get(age) >= lo && r.get(age) < hi
-                        });
+                        let sub = rows_where(ds, "first_substance", |c| c == MJ)?
+                            .and(age, |a| a >= lo && a < hi)?;
                         if sub.n_rows() < 10 {
                             return Ok(f64::NAN);
                         }

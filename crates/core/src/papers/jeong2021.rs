@@ -18,7 +18,7 @@ use synrd_data::{BenchmarkDataset, ColumnAccess, Dataset};
 use synrd_ml::{
     group_metrics, train_test_split, ForestOptions, Metrics, RandomForest, TreeOptions,
 };
-use synrd_stats::logistic_columns;
+use synrd_stats::{logistic, LogisticOptions, Matrix};
 
 /// Which model family a finding evaluates.
 #[derive(Clone, Copy, PartialEq)]
@@ -139,11 +139,18 @@ pub struct PipelineSplit {
     pub rng: StdRng,
 }
 
+/// The pipeline's 70/30 (train, test) row split of `n` rows, and its RNG
+/// after the split.
+fn split_rows(n: usize) -> Result<(Vec<usize>, Vec<usize>, StdRng)> {
+    let mut rng = StdRng::seed_from_u64(PIPELINE_SEED);
+    let (train, test) = train_test_split(n, 0.3, &mut rng)?;
+    Ok((train, test, rng))
+}
+
 /// Featurize `ds` and split it 70/30 as every pipeline run does.
 pub fn pipeline_split(ds: &Dataset) -> Result<PipelineSplit> {
     let (x, y, groups) = prepare(ds)?;
-    let mut rng = StdRng::seed_from_u64(PIPELINE_SEED);
-    let (train, test) = train_test_split(x.len(), 0.3, &mut rng)?;
+    let (train, test, rng) = split_rows(x.len())?;
     Ok(PipelineSplit {
         x_train: train.iter().map(|&i| x[i].clone()).collect(),
         y_train: train.iter().map(|&i| y[i]).collect(),
@@ -154,42 +161,89 @@ pub fn pipeline_split(ds: &Dataset) -> Result<PipelineSplit> {
     })
 }
 
-fn run_pipeline_uncached(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics)> {
-    let PipelineSplit {
-        x_train: xtr,
-        y_train: ytr,
-        x_test: xte,
-        y_test: yte,
-        groups_test: gte,
-        mut rng,
-    } = pipeline_split(ds)?;
+/// The pipeline's split as logistic designs: an intercept column, then the
+/// same features as [`pipeline_split`] in the same order.
+pub struct LogisticSplit {
+    /// Training design (`1`, then the feature codes).
+    pub x_train: Matrix,
+    /// Training labels (0/1).
+    pub y_train: Vec<f64>,
+    /// Test design.
+    pub x_test: Matrix,
+    /// Test labels.
+    pub y_test: Vec<f64>,
+    /// Test group ids (0 = privileged, 1 = disadvantaged).
+    pub groups_test: Vec<u32>,
+}
 
-    let scores: Vec<f64> = match model {
+/// Split `ds` as [`pipeline_split`] does and write both designs column by
+/// column straight from the packed storage: one decode per feature, no
+/// row-major copy and no transpose.
+pub fn logistic_split(ds: &Dataset) -> Result<LogisticSplit> {
+    let race = ds.domain().index_of("race_group")?;
+    let label = ds.domain().index_of("top50")?;
+    let (train, test, _) = split_rows(ds.n_rows())?;
+    let features: Vec<usize> = (0..ds.n_attrs())
+        .filter(|&a| a != race && a != label)
+        .collect();
+    let k = features.len() + 1;
+    let (mut x_train, mut x_test) = (vec![1.0; train.len() * k], vec![1.0; test.len() * k]);
+    let mut codes = Vec::new();
+    for (j, &a) in features.iter().enumerate() {
+        ds.decode_column_into(a, &mut codes)?;
+        for (x, rows) in [(&mut x_train, &train), (&mut x_test, &test)] {
+            for (t, &r) in rows.iter().enumerate() {
+                x[t * k + j + 1] = f64::from(codes[r]);
+            }
+        }
+    }
+    let labels = ds.decode_column(label)?;
+    let groups = ds.decode_column(race)?;
+    let y = |rows: &[usize]| rows.iter().map(|&r| f64::from(labels[r])).collect();
+    Ok(LogisticSplit {
+        x_train: Matrix::from_rows(train.len(), k, x_train)?,
+        y_train: y(&train),
+        x_test: Matrix::from_rows(test.len(), k, x_test)?,
+        y_test: y(&test),
+        groups_test: test.iter().map(|&r| groups[r]).collect(),
+    })
+}
+
+fn run_pipeline_uncached(ds: &Dataset, model: Model) -> Result<(Metrics, Metrics)> {
+    let (scores, y_test, groups_test) = match model {
         Model::Logistic => {
-            // Column-major view for the IRLS fit.
-            let d = xtr[0].len();
-            let cols: Vec<Vec<f64>> = (0..d)
-                .map(|j| xtr.iter().map(|row| row[j]).collect())
-                .collect();
-            let fit = logistic_columns(&cols, &ytr)?;
-            xte.iter()
-                .map(|row| {
+            let split = logistic_split(ds)?;
+            let fit = logistic(&split.x_train, &split.y_train, LogisticOptions::default())?;
+            let scores = (0..split.x_test.n_rows())
+                .map(|t| {
+                    let features = &split.x_test.row(t)[1..];
                     let eta: f64 = fit.coefficients[0]
-                        + row
+                        + features
                             .iter()
                             .zip(&fit.coefficients[1..])
                             .map(|(a, b)| a * b)
                             .sum::<f64>();
                     1.0 / (1.0 + (-eta).exp())
                 })
-                .collect()
+                .collect();
+            (scores, split.y_test, split.groups_test)
         }
         Model::Forest => {
-            let forest = RandomForest::fit(&xtr, &ytr, FOREST_OPTIONS, &mut rng)?;
-            forest.predict_proba(&xte)
+            let mut split = pipeline_split(ds)?;
+            let forest = RandomForest::fit(
+                &split.x_train,
+                &split.y_train,
+                FOREST_OPTIONS,
+                &mut split.rng,
+            )?;
+            (
+                forest.predict_proba(&split.x_test),
+                split.y_test,
+                split.groups_test,
+            )
         }
     };
-    let by_group = group_metrics(&scores, &yte, &gte, 2)?;
+    let by_group = group_metrics(&scores, &y_test, &groups_test, 2)?;
     Ok((by_group[0], by_group[1]))
 }
 

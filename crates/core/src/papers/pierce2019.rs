@@ -142,17 +142,9 @@ impl Publication for Pierce2019 {
                 FT::MeanDifferenceBetweenClass,
                 Check::Order,
                 Box::new(|ds| {
-                    let sup = ds.domain().index_of("spouse_support")?;
-                    let hi = ds.filter_rows(move |r| r.get(sup) >= 5);
-                    let lo = ds.filter_rows(move |r| r.get(sup) < 3);
-                    let m = |x: &Dataset| -> Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        let idx = x.domain().index_of("pos_emotions")?;
-                        Ok(x.mean_of(idx)?)
-                    };
-                    Ok(vec![m(&hi)?, m(&lo)?])
+                    let hi = rows_where(ds, "spouse_support", |c| c >= 5)?;
+                    let lo = rows_where(ds, "spouse_support", |c| c < 3)?;
+                    Ok(vec![mean(&hi, "pos_emotions")?, mean(&lo, "pos_emotions")?])
                 }),
             ),
             Finding::new(
@@ -161,17 +153,9 @@ impl Publication for Pierce2019 {
                 FT::MeanDifferenceBetweenClass,
                 Check::Order,
                 Box::new(|ds| {
-                    let strain = ds.domain().index_of("spouse_strain")?;
-                    let hi = ds.filter_rows(move |r| r.get(strain) >= 5);
-                    let lo = ds.filter_rows(move |r| r.get(strain) < 3);
-                    let m = |x: &Dataset| -> Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        let idx = x.domain().index_of("neg_emotions")?;
-                        Ok(x.mean_of(idx)?)
-                    };
-                    Ok(vec![m(&hi)?, m(&lo)?])
+                    let hi = rows_where(ds, "spouse_strain", |c| c >= 5)?;
+                    let lo = rows_where(ds, "spouse_strain", |c| c < 3)?;
+                    Ok(vec![mean(&hi, "neg_emotions")?, mean(&lo, "neg_emotions")?])
                 }),
             ),
             Finding::new(
@@ -187,17 +171,9 @@ impl Publication for Pierce2019 {
                 FT::MeanDifferenceBetweenClass,
                 Check::Order,
                 Box::new(|ds| {
-                    let sup = ds.domain().index_of("friend_support")?;
-                    let hi = ds.filter_rows(move |r| r.get(sup) >= 5);
-                    let lo = ds.filter_rows(move |r| r.get(sup) < 3);
-                    let m = |x: &Dataset| -> Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        let idx = x.domain().index_of("pos_emotions")?;
-                        Ok(x.mean_of(idx)?)
-                    };
-                    Ok(vec![m(&hi)?, m(&lo)?])
+                    let hi = rows_where(ds, "friend_support", |c| c >= 5)?;
+                    let lo = rows_where(ds, "friend_support", |c| c < 3)?;
+                    Ok(vec![mean(&hi, "pos_emotions")?, mean(&lo, "pos_emotions")?])
                 }),
             ),
         ]

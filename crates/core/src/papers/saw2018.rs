@@ -157,16 +157,11 @@ impl Publication for Saw2018 {
                 Check::Order,
                 Box::new(|ds| {
                     let math = ds.domain().index_of("math9")?;
-                    let asp9 = ds.domain().index_of("stem_asp_9")?;
-                    let hi = ds.filter_rows(move |r| r.get(asp9) == 1 && r.get(math) >= 9);
-                    let lo = ds.filter_rows(move |r| r.get(asp9) == 1 && r.get(math) < 5);
-                    let p = |x: &Dataset| -> Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        prop(x, "stem_asp_11", 1)
+                    let persisters = |math_keep: fn(u32) -> bool| -> Result<f64> {
+                        let sub = rows_where(ds, "stem_asp_9", |c| c == 1)?.and(math, math_keep)?;
+                        prop(&sub, "stem_asp_11", 1)
                     };
-                    Ok(vec![p(&hi)?, p(&lo)?])
+                    Ok(vec![persisters(|m| m >= 9)?, persisters(|m| m < 5)?])
                 }),
             ),
             Finding::new(
@@ -177,20 +172,16 @@ impl Publication for Saw2018 {
                 Box::new(|ds| {
                     let race = ds.domain().index_of("race")?;
                     let ses = ds.domain().index_of("ses")?;
-                    let sex = ds.domain().index_of("sex")?;
-                    let privileged = ds.filter_rows(move |r| {
-                        r.get(sex) == 0 && r.get(race) == 0 && r.get(ses) == 3
-                    });
-                    let marginalized = ds.filter_rows(move |r| {
-                        r.get(sex) == 0 && (r.get(race) == 1 || r.get(race) == 2) && r.get(ses) <= 1
-                    });
-                    let p = |x: &Dataset| -> Result<f64> {
-                        if x.is_empty() {
-                            return Ok(f64::NAN);
-                        }
-                        prop(x, "stem_asp_9", 1)
+                    let boys = |race_keep: fn(u32) -> bool, ses_keep: fn(u32) -> bool| {
+                        let sub = rows_where(ds, "sex", |c| c == 0)?
+                            .and(race, race_keep)?
+                            .and(ses, ses_keep)?;
+                        prop(&sub, "stem_asp_9", 1)
                     };
-                    Ok(vec![p(&privileged)?, p(&marginalized)?])
+                    Ok(vec![
+                        boys(|r| r == 0, |s| s == 3)?,
+                        boys(|r| r == 1 || r == 2, |s| s <= 1)?,
+                    ])
                 }),
             ),
             Finding::new(

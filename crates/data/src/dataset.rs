@@ -258,6 +258,8 @@ impl Dataset {
 
     /// Keep the rows for which `pred` returns true, streaming matches
     /// straight into pre-sized packed builders (no intermediate keep-list).
+    /// To read statistics of a subgroup, take a [`Dataset::subset`] view
+    /// instead: it copies nothing, and this method is its test oracle.
     pub fn filter_rows(&self, pred: impl Fn(RowRef<'_>) -> bool) -> Dataset {
         let mut columns: Vec<PackedColumn> = self
             .domain

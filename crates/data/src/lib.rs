@@ -7,7 +7,8 @@
 //!   marginal-based DP synthesizers consume);
 //! * [`Dataset`] — column-major, bit-packed code storage (see `packed`)
 //!   behind the [`ColumnAccess`] trait, with selection, filtering and
-//!   resampling;
+//!   resampling, and [`Subset`] row views that read a subgroup's
+//!   statistics in place;
 //! * [`Marginal`] — dense contingency tables with mixed-radix indexing, plus
 //!   empirical [`mutual_information`];
 //! * [`MarginalEngine`] — the batched, cached, parallel counting engine the
@@ -28,6 +29,7 @@ pub mod generators;
 pub mod marginal;
 pub mod metafeatures;
 pub mod packed;
+pub mod subset;
 
 pub use attribute::{AttrKind, Attribute};
 pub use dataset::{Dataset, RowRef};
@@ -38,3 +40,4 @@ pub use generators::BenchmarkDataset;
 pub use marginal::{mutual_information, Marginal, DEFAULT_CELL_LIMIT};
 pub use metafeatures::{meta_features, MeanStd, MetaFeatures};
 pub use packed::{ColumnAccess, PackedColumn};
+pub use subset::Subset;

@@ -60,6 +60,14 @@ pub trait ColumnAccess {
         self.for_each_range(0, self.len(), f);
     }
 
+    /// Visit the codes of `rows` in order. `rows` must be ascending; panics
+    /// if its last entry is `>= len()`.
+    fn for_each_at(&self, rows: &[u32], mut f: impl FnMut(u32)) {
+        for &r in rows {
+            f(self.get(r as usize));
+        }
+    }
+
     /// Decode rows `lo..hi` into `out`, which must hold exactly `hi - lo`
     /// slots.
     fn decode_range_into(&self, lo: usize, hi: usize, out: &mut [u32]);
@@ -315,6 +323,36 @@ impl ColumnAccess for PackedColumn {
         visit_words(&self.words, self.width, lo, hi, &mut f);
     }
 
+    /// Walks the word cursor forward from row to row instead of dividing
+    /// per row: ascending rows make each step `delta / per_word` word
+    /// advances, so a sparse set costs at most one pass over the words.
+    fn for_each_at(&self, rows: &[u32], mut f: impl FnMut(u32)) {
+        if let Some(&last) = rows.last() {
+            assert!(
+                (last as usize) < self.len,
+                "row {last} out of range for column of {} rows",
+                self.len
+            );
+        }
+        if self.width == 0 {
+            rows.iter().for_each(|_| f(0));
+            return;
+        }
+        let per = self.per_word as usize;
+        let (mut word, mut slot, mut prev) = (0usize, 0usize, 0usize);
+        for &r in rows {
+            let r = r as usize;
+            debug_assert!(r >= prev, "rows must be ascending");
+            slot += r - prev;
+            prev = r;
+            while slot >= per {
+                slot -= per;
+                word += 1;
+            }
+            f(((self.words[word] >> (slot as u32 * self.width)) & self.mask) as u32);
+        }
+    }
+
     fn decode_range_into(&self, lo: usize, hi: usize, out: &mut [u32]) {
         assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
         assert_eq!(out.len(), hi - lo, "output slice must match the range");
@@ -457,6 +495,37 @@ mod tests {
         let mut all = Vec::new();
         col.decode_into(&mut all);
         assert_eq!(all, codes);
+    }
+
+    #[test]
+    fn for_each_at_matches_get() {
+        for card in [1usize, 2, 3, 17, 100] {
+            let codes = ramp(card, 301);
+            let col = PackedColumn::from_codes(card, &codes);
+            let oracle = UnpackedColumn::from_codes(codes.clone());
+            for rows in [
+                vec![],
+                vec![0],
+                vec![300],
+                (0..301).collect(),
+                (0..301).step_by(7).collect(),
+                vec![5, 5, 63, 64, 65, 200, 300],
+            ] {
+                let (mut packed, mut unpacked) = (Vec::new(), Vec::new());
+                col.for_each_at(&rows, |c| packed.push(c));
+                oracle.for_each_at(&rows, |c| unpacked.push(c));
+                let want: Vec<u32> = rows.iter().map(|&r| codes[r as usize]).collect();
+                assert_eq!(packed, want, "card {card} rows {rows:?}");
+                assert_eq!(unpacked, want, "card {card} rows {rows:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn for_each_at_past_len_panics() {
+        let col = PackedColumn::from_codes(4, &[1, 2, 3]);
+        col.for_each_at(&[0, 3], |_| {});
     }
 
     #[test]

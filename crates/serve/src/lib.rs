@@ -37,9 +37,13 @@
 //! Responses carry `"ok":true` plus op-specific fields, or `"ok":false`
 //! with an `"error"` message. A fit that was never cached is an error, not
 //! a refit: serve mode is deliberately read-only over the store.
+//!
+//! Each request is bounded: `n` may not exceed [`MAX_SAMPLE_ROWS`], and the
+//! TCP layer reads at most [`MAX_LINE_BYTES`] of one line. Both refusals
+//! are `"ok":false` replies; the connection stays open.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -51,6 +55,13 @@ use synrd::publication_by_id;
 use synrd_data::{Dataset, MarginalEngine};
 use synrd_store::{hex16, parse, DiskFitCache, JsonValue};
 use synrd_synth::{SynthKind, Synthesizer};
+
+/// The most rows one `sample` or `workload` request may ask for: 2²¹, about
+/// seven times the largest paper dataset (Fairman2019, 293,581 rows).
+pub const MAX_SAMPLE_ROWS: usize = 1 << 21;
+
+/// The longest request line the TCP layer accepts, newline excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Key of one restored synthesizer:
 /// `(dataset digest, synth name, ε bits, seed index)` — the fit cache's key.
@@ -218,6 +229,11 @@ fn sampled_dataset(service: &FitService, req: &JsonValue) -> Result<Dataset, Str
         .and_then(JsonValue::as_u64)
         .and_then(|u| usize::try_from(u).ok())
         .ok_or("missing unsigned field 'n'")?;
+    if n > MAX_SAMPLE_ROWS {
+        return Err(format!(
+            "field 'n' is {n}, above the limit of {MAX_SAMPLE_ROWS} rows"
+        ));
+    }
     let seed = req.get("seed").and_then(JsonValue::as_u64).unwrap_or(0);
     let synth = service.synthesizer(digest, kind, epsilon, seed_index)?;
     synth
@@ -441,6 +457,46 @@ pub fn serve(service: Arc<FitService>, addr: &str, workers: usize) -> io::Result
     })
 }
 
+/// One request line read from a connection.
+enum Request {
+    Line(String),
+    /// A line over [`MAX_LINE_BYTES`], already skipped to its newline.
+    TooLong,
+    Closed,
+}
+
+/// Read the next request line, holding at most [`MAX_LINE_BYTES`] of it.
+fn next_request(reader: &mut impl BufRead) -> Request {
+    let mut buf = Vec::new();
+    // One byte past the cap tells a full-length line from a longer one.
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return Request::Closed,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        return match reader.skip_until(b'\n') {
+            Ok(_) => Request::TooLong,
+            Err(_) => Request::Closed,
+        };
+    }
+    String::from_utf8(buf).map_or(Request::Closed, Request::Line)
+}
+
+fn is_shutdown(line: &str) -> bool {
+    parse(line)
+        .ok()
+        .as_ref()
+        .and_then(|r| r.get("op"))
+        .and_then(JsonValue::as_str)
+        == Some("shutdown")
+}
+
 fn handle_connection(
     service: &FitService,
     stream: TcpStream,
@@ -451,28 +507,25 @@ fn handle_connection(
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => return,
+    let mut reader = BufReader::new(stream);
+    loop {
+        let (response, stop) = match next_request(&mut reader) {
+            Request::Closed => return,
+            Request::TooLong => (
+                error_response(format!(
+                    "request line exceeds the limit of {MAX_LINE_BYTES} bytes"
+                )),
+                false,
+            ),
+            Request::Line(line) if line.trim().is_empty() => continue,
+            Request::Line(line) => (handle_line(service, &line), is_shutdown(&line)),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(service, &line);
         let mut text = response.to_text();
         text.push('\n');
         if writer.write_all(text.as_bytes()).is_err() {
             return;
         }
-        if parse(&line)
-            .ok()
-            .as_ref()
-            .and_then(|r| r.get("op"))
-            .and_then(JsonValue::as_str)
-            == Some("shutdown")
-        {
+        if stop {
             shutdown.store(true, Ordering::SeqCst);
             // The acceptor is blocked in accept(); poke it awake so it can
             // observe the flag and exit.

@@ -8,7 +8,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use synrd::benchmark::{BenchmarkConfig, FitStore};
 use synrd_data::{Attribute, Dataset, Domain};
-use synrd_serve::{handle_line, handle_request, serve, FitService};
+use synrd_serve::{
+    handle_line, handle_request, serve, FitService, MAX_LINE_BYTES, MAX_SAMPLE_ROWS,
+};
 use synrd_store::{hex16, parse, JsonValue};
 use synrd_synth::SynthKind;
 
@@ -220,6 +222,64 @@ fn tcp_round_trip_ping_sample_shutdown() {
     );
 
     assert_ok(&exchange(r#"{"op":"shutdown"}"#.to_string()));
+    handle.join();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn oversized_sample_requests_are_refused() {
+    let (service, digest) = seeded_service("bounds");
+    let line = |n: u64| sample_request(digest, n, 0).to_text();
+    for n in [1_000_000_000_000u64, MAX_SAMPLE_ROWS as u64 + 1] {
+        let response = handle_line(&service, &line(n));
+        assert_eq!(response.get("ok"), Some(&JsonValue::Bool(false)), "n = {n}");
+        let error = response.get("error").and_then(JsonValue::as_str).unwrap();
+        assert!(error.contains("limit"), "{error}");
+    }
+    // The same refusal for a workload request, before any sampling.
+    let workload = line(1_000_000_000_000).replace(r#""op":"sample""#, r#""op":"workload""#);
+    let workload = workload.replace('}', r#","queries":[[0]]}"#);
+    let response = handle_line(&service, &workload);
+    assert_eq!(response.get("ok"), Some(&JsonValue::Bool(false)));
+    assert_eq!(service.served(), (0, 0));
+    assert_ok(&handle_line(&service, &line(10)));
+    let _ = std::fs::remove_dir_all(service.fits().root());
+}
+
+#[test]
+fn tcp_refuses_oversized_requests_and_keeps_serving() {
+    let (service, digest) = seeded_service("tcp-bounds");
+    let root = service.fits().root().to_path_buf();
+    let handle = serve(Arc::new(service), "127.0.0.1:0", 2).unwrap();
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut exchange = |line: &str| -> JsonValue {
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        parse(response.trim()).unwrap()
+    };
+    let refused = |response: &JsonValue| {
+        assert_eq!(response.get("ok"), Some(&JsonValue::Bool(false)));
+        response
+            .get("error")
+            .and_then(JsonValue::as_str)
+            .unwrap()
+            .to_string()
+    };
+
+    let huge_n = exchange(&sample_request(digest, 1_000_000_000_000, 0).to_text());
+    assert!(refused(&huge_n).contains("limit"));
+    // A line one byte over the cap is refused and skipped; one at the cap
+    // is read whole (and fails only as a malformed request).
+    let long = exchange(&"x".repeat(MAX_LINE_BYTES + 1));
+    assert!(refused(&long).contains("exceeds"));
+    let at_cap = exchange(&"x".repeat(MAX_LINE_BYTES));
+    assert!(refused(&at_cap).contains("bad request"));
+    // The same connection still answers.
+    assert_ok(&exchange(&sample_request(digest, 50, 1).to_text()));
+    assert_ok(&exchange(r#"{"op":"shutdown"}"#));
     handle.join();
     let _ = std::fs::remove_dir_all(root);
 }

@@ -93,15 +93,54 @@ impl Matrix {
     }
 
     /// Gram matrix XᵀWX for optional per-row weights W (identity if `None`).
+    ///
+    /// Rows are taken four at a time, so each pass over the upper triangle
+    /// loads and stores every entry once per four rows instead of once per
+    /// row. Each entry still adds its terms one at a time in ascending row
+    /// order (`g += w₀x₀ᵢx₀ⱼ; g += w₁x₁ᵢx₁ⱼ; …`), exactly as the row-at-a-time
+    /// loop of `Matrix::gram_naive` does, so the result is bit-identical.
     pub fn gram(&self, weights: Option<&[f64]>) -> Result<Matrix> {
-        if let Some(w) = weights {
-            if w.len() != self.rows {
-                return Err(StatsError::LengthMismatch {
-                    left: w.len(),
-                    right: self.rows,
-                });
+        self.check_weights(weights)?;
+        let k = self.cols;
+        let mut g = Matrix::zeros(k, k);
+        let weight = |r: usize| weights.map_or(1.0, |w| w[r]);
+        let blocked = self.rows - self.rows % 4;
+        for r in (0..blocked).step_by(4) {
+            let (w0, w1, w2, w3) = (weight(r), weight(r + 1), weight(r + 2), weight(r + 3));
+            let (x0, x1, x2, x3) = (
+                self.row(r),
+                self.row(r + 1),
+                self.row(r + 2),
+                self.row(r + 3),
+            );
+            for i in 0..k {
+                let (a0, a1, a2, a3) = (w0 * x0[i], w1 * x1[i], w2 * x2[i], w3 * x3[i]);
+                let gi = &mut g.data[i * k + i..(i + 1) * k];
+                let ys = x0[i..].iter().zip(&x1[i..]).zip(&x2[i..]).zip(&x3[i..]);
+                for (gij, (((&y0, &y1), &y2), &y3)) in gi.iter_mut().zip(ys) {
+                    *gij = *gij + a0 * y0 + a1 * y1 + a2 * y2 + a3 * y3;
+                }
             }
         }
+        for r in blocked..self.rows {
+            let w = weight(r);
+            let row = self.row(r);
+            for i in 0..k {
+                let wi = w * row[i];
+                for (gij, &xj) in g.data[i * k + i..(i + 1) * k].iter_mut().zip(&row[i..]) {
+                    *gij += wi * xj;
+                }
+            }
+        }
+        g.mirror_upper();
+        Ok(g)
+    }
+
+    /// The row-at-a-time Gram matrix: the differential oracle for
+    /// [`Matrix::gram`].
+    #[cfg(any(test, feature = "naive-reference"))]
+    pub fn gram_naive(&self, weights: Option<&[f64]>) -> Result<Matrix> {
+        self.check_weights(weights)?;
         let k = self.cols;
         let mut g = Matrix::zeros(k, k);
         for r in 0..self.rows {
@@ -115,12 +154,28 @@ impl Matrix {
                 }
             }
         }
+        g.mirror_upper();
+        Ok(g)
+    }
+
+    fn check_weights(&self, weights: Option<&[f64]>) -> Result<()> {
+        match weights {
+            Some(w) if w.len() != self.rows => Err(StatsError::LengthMismatch {
+                left: w.len(),
+                right: self.rows,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Copy the upper triangle of a square matrix onto the lower one.
+    fn mirror_upper(&mut self) {
+        let k = self.cols;
         for i in 0..k {
             for j in 0..i {
-                g.data[i * k + j] = g.data[j * k + i];
+                self.data[i * k + j] = self.data[j * k + i];
             }
         }
-        Ok(g)
     }
 
     /// XᵀWy for optional weights.
@@ -202,6 +257,14 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
             right: n,
         });
     }
+    Ok(cholesky_solve(&factor_spd(a)?, b))
+}
+
+/// The lower Cholesky factor of A, or of A + λI for the first ridge λ of
+/// the escalating sequence that factors. The sequence depends only on A,
+/// so every right-hand side solved against A shares one factor.
+fn factor_spd(a: &Matrix) -> Result<Matrix> {
+    let n = a.n_rows();
     let mean_diag: f64 = (0..n).map(|i| a.at(i, i)).sum::<f64>() / n.max(1) as f64;
     let mut ridge = 0.0;
     for attempt in 0..6 {
@@ -212,7 +275,7 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
             }
         }
         match cholesky(&work) {
-            Ok(l) => return Ok(cholesky_solve(&l, b)),
+            Ok(l) => return Ok(l),
             Err(_) if attempt < 5 => {
                 ridge = if ridge == 0.0 {
                     1e-10 * mean_diag.max(1e-12)
@@ -251,8 +314,32 @@ fn cholesky_solve(l: &Matrix, b: &[f64]) -> Vec<f64> {
 }
 
 /// Inverse of a symmetric positive-definite matrix (for coefficient
-/// standard errors). Solves against the identity column by column.
+/// standard errors). Factors A once (with [`solve_spd`]'s ridge retries)
+/// and solves against the identity column by column; bit-identical to
+/// calling [`solve_spd`] per column, which refactors A every time.
 pub fn inverse_spd(a: &Matrix) -> Result<Matrix> {
+    let n = a.n_rows();
+    if n == 0 {
+        return Ok(Matrix::zeros(0, 0));
+    }
+    let l = factor_spd(a)?;
+    let mut inv = Matrix::zeros(n, n);
+    let mut e = vec![0.0; n];
+    for j in 0..n {
+        e.iter_mut().for_each(|v| *v = 0.0);
+        e[j] = 1.0;
+        let col = cholesky_solve(&l, &e);
+        for i in 0..n {
+            inv.set(i, j, col[i]);
+        }
+    }
+    Ok(inv)
+}
+
+/// [`inverse_spd`] as one [`solve_spd`] per column: the differential
+/// oracle for the factor-once path.
+#[cfg(any(test, feature = "naive-reference"))]
+pub fn inverse_spd_per_column(a: &Matrix) -> Result<Matrix> {
     let n = a.n_rows();
     let mut inv = Matrix::zeros(n, n);
     let mut e = vec![0.0; n];
@@ -323,6 +410,38 @@ mod tests {
                 assert!((v - expect).abs() < 1e-10);
             }
         }
+    }
+
+    /// Bit patterns of a matrix, for exact comparisons.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn inverse_factors_once_bit_identically() {
+        // Well-conditioned, and rank-deficient (needs the ridge retry: the
+        // first Cholesky attempt hits a zero pivot).
+        let spd =
+            Matrix::from_rows(3, 3, vec![4.0, 1.2, -0.7, 1.2, 3.3, 0.4, -0.7, 0.4, 2.9]).unwrap();
+        let x = Matrix::from_rows(
+            5,
+            4,
+            vec![
+                1.0, 0.3, 0.6, 2.0, 1.0, -1.1, -2.2, 0.5, 1.0, 0.7, 1.4, -3.0, 1.0, 2.5, 5.0, 0.25,
+                1.0, -0.4, -0.8, 1.5,
+            ],
+        )
+        .unwrap();
+        let collinear = x.gram(None).unwrap();
+        assert!(cholesky(&collinear).is_err(), "fixture must need the ridge");
+        for a in [&spd, &collinear] {
+            assert_eq!(
+                bits(&inverse_spd(a).unwrap()),
+                bits(&inverse_spd_per_column(a).unwrap())
+            );
+        }
+        let empty = Matrix::zeros(0, 0);
+        assert_eq!(inverse_spd(&empty).unwrap(), empty);
     }
 
     #[test]

@@ -7,6 +7,13 @@
 use crate::error::{Result, StatsError};
 use crate::linalg::{inverse_spd, solve_spd, Matrix};
 
+/// The two dense kernels an IRLS fit spends its time in: the weighted Gram
+/// XᵀWX and the inverse of the final information matrix.
+type Kernels = (
+    fn(&Matrix, Option<&[f64]>) -> Result<Matrix>,
+    fn(&Matrix) -> Result<Matrix>,
+);
+
 /// A fitted logistic model (coefficients on the logit scale).
 #[derive(Debug, Clone)]
 pub struct LogisticFit {
@@ -68,6 +75,27 @@ impl Default for LogisticOptions {
 /// # Errors
 /// Dimension errors, non-0/1 responses, or no convergence.
 pub fn logistic(x: &Matrix, y: &[f64], options: LogisticOptions) -> Result<LogisticFit> {
+    irls(x, y, options, (Matrix::gram, inverse_spd))
+}
+
+/// [`logistic`] through the row-at-a-time Gram and the per-column inverse:
+/// the differential oracle for the blocked kernels (bit-identical fits).
+#[cfg(any(test, feature = "naive-reference"))]
+pub fn logistic_naive(x: &Matrix, y: &[f64], options: LogisticOptions) -> Result<LogisticFit> {
+    irls(
+        x,
+        y,
+        options,
+        (Matrix::gram_naive, crate::linalg::inverse_spd_per_column),
+    )
+}
+
+fn irls(
+    x: &Matrix,
+    y: &[f64],
+    options: LogisticOptions,
+    (gram, inverse): Kernels,
+) -> Result<LogisticFit> {
     let n = x.n_rows();
     let k = x.n_cols();
     if y.len() != n {
@@ -103,7 +131,7 @@ pub fn logistic(x: &Matrix, y: &[f64], options: LogisticOptions) -> Result<Logis
         // Working response z = η + (y − μ)/w.
         let z: Vec<f64> = (0..n).map(|i| eta[i] + (y[i] - mu[i]) / w[i]).collect();
 
-        let mut info = x.gram(Some(&w))?;
+        let mut info = gram(x, Some(&w))?;
         for j in 0..k {
             info.set(j, j, info.at(j, j) + options.ridge);
         }
@@ -118,7 +146,7 @@ pub fn logistic(x: &Matrix, y: &[f64], options: LogisticOptions) -> Result<Logis
         beta = new_beta;
         if delta < options.tol {
             // Standard errors from the final information matrix.
-            let cov = inverse_spd(&info)?;
+            let cov = inverse(&info)?;
             let std_errors = (0..k).map(|j| cov.at(j, j).max(0.0).sqrt()).collect();
             return Ok(LogisticFit {
                 coefficients: beta,
